@@ -36,16 +36,35 @@ def format_rational(q: Fraction) -> str:
     return f"{q.numerator}/{q.denominator}"
 
 
+# Miller-Rabin with the primes up to 41 as bases decides primality exactly
+# below this bound (Sorenson and Webster, 2015)
+MILLER_RABIN_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+MILLER_RABIN_LIMIT = 3317044064679887385961981
+
+
 def is_prime(n: int) -> bool:
+    """Deterministic Miller-Rabin; exact for n below MILLER_RABIN_LIMIT."""
     if n < 2:
         return False
-    if n % 2 == 0:
-        return n == 2
-    f = 3
-    while f * f <= n:
-        if n % f == 0:
+    for p in MILLER_RABIN_BASES:
+        if n % p == 0:
+            return n == p
+    if n >= MILLER_RABIN_LIMIT:
+        raise PreconditionError(f"primality of {n} cannot be certified (n >= 3.3e24)")
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for b in MILLER_RABIN_BASES:
+        x = pow(b, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
-        f += 2
     return True
 
 

@@ -120,12 +120,29 @@ class ProblemSpec:
 
 
 def _require(obj: dict, key: str, kind, where: str):
+    if not isinstance(obj, dict):
+        raise ProblemFormatError(f"{where} must be an object")
     if key not in obj:
         raise ProblemFormatError(f"missing field {key!r} in {where}")
     val = obj[key]
     if kind is not None and not isinstance(val, kind):
         raise ProblemFormatError(f"field {key!r} in {where} has the wrong type")
     return val
+
+
+def _optional(obj: dict, key: str, kind, where: str):
+    """An optional field of the given JSON type, empty when absent."""
+    val = obj.get(key, kind())
+    if not isinstance(val, kind):
+        raise ProblemFormatError(f"field {key!r} in {where} has the wrong type")
+    return val
+
+
+def _parse_int(text, where: str) -> int:
+    try:
+        return int(text)
+    except (TypeError, ValueError):
+        raise ProblemFormatError(f"bad integer {text!r} in {where}") from None
 
 
 def _parse_coordinate(text, where: str):
@@ -206,22 +223,25 @@ def parse_problem(text) -> ProblemSpec:
             _parse_fraction(c, f"series[{k}].coefficients") for c in coeffs)))
 
     arch_places = []
-    for k, entry in enumerate(doc.get("arch_places", [])):
-        domain = parse_domain(_require(entry, "domain", dict, f"arch_places[{k}]"))
+    for k, entry in enumerate(_optional(doc, "arch_places", list, "document")):
+        where = f"arch_places[{k}]"
+        domain = parse_domain(_require(entry, "domain", dict, where))
         placement = None
         if "placement" in entry:
-            placement = {int(i): int(c) for i, c in entry["placement"].items()}
+            placement = {_parse_int(i, f"{where}.placement"): _parse_int(c, f"{where}.placement")
+                         for i, c in _require(entry, "placement", dict, where).items()}
         arch_places.append(ArchDomainAssignment.build(domain, points, placement))
 
     nonarch_places = []
-    for k, entry in enumerate(doc.get("nonarch_places", [])):
+    for k, entry in enumerate(_optional(doc, "nonarch_places", list, "document")):
         where = f"nonarch_places[{k}]"
         p = _require(entry, "p", int, where)
         coeffs = {}
-        for i, q in entry.get("log_size_coeffs", {}).items():
-            coeffs[int(i)] = _parse_fraction(q, f"{where}.log_size_coeffs")
-        for i, name in entry.get("preset", {}).items():
-            pid = int(i)
+        for i, q in _optional(entry, "log_size_coeffs", dict, where).items():
+            coeffs[_parse_int(i, f"{where}.log_size_coeffs")] = _parse_fraction(
+                q, f"{where}.log_size_coeffs")
+        for i, name in _optional(entry, "preset", dict, where).items():
+            pid = _parse_int(i, f"{where}.preset")
             if name not in SIZE_PRESETS:
                 raise ProblemFormatError(f"unknown preset {name!r} in {where}")
             if pid in coeffs:
@@ -230,29 +250,35 @@ def parse_problem(text) -> ProblemSpec:
                 )
             coeffs[pid] = size_preset(name, p)
         off = {}
-        for key, val in entry.get("off_diagonal", {}).items():
+        for key, val in _optional(entry, "off_diagonal", dict, where).items():
             off[key] = _parse_fraction(val, f"{where}.off_diagonal")
         nonarch_places.append(NonArchPlace(p, coeffs, off))
 
     scalings = []
-    for k, entry in enumerate(doc.get("scalings", [])):
+    for k, entry in enumerate(_optional(doc, "scalings", list, "document")):
         pid = _require(entry, "point", int, f"scalings[{k}]")
         scalar = _parse_fraction(_require(entry, "scalar", None, f"scalings[{k}]"),
                                  f"scalings[{k}]")
         scalings.append(TangentScaling(pid, scalar))
 
     extras = []
-    for k, entry in enumerate(doc.get("extra_places", [])):
+    for k, entry in enumerate(_optional(doc, "extra_places", list, "document")):
         where = f"extra_places[{k}]"
-        label = entry.get("label", f"user[{k}]")
         rows = _require(entry, "entries", list, where)
-        parsed = tuple(
-            tuple(math.inf if v == "inf" else float(v) for v in row) for row in rows
-        )
+        label = entry.get("label", f"user[{k}]")
+        try:
+            parsed = tuple(
+                tuple(math.inf if v == "inf" else float(v) for v in row) for row in rows
+            )
+        except (TypeError, ValueError):
+            raise ProblemFormatError(f"non-numeric matrix entry in {where}") from None
         extras.append(ExtraPlace(label, parsed))
 
     degree_bound = doc.get("degree_bound")
-    if degree_bound is not None and not isinstance(degree_bound, int):
+    # bool is a subclass of int, but true is not a degree
+    if degree_bound is not None and (
+        isinstance(degree_bound, bool) or not isinstance(degree_bound, int)
+    ):
         raise ProblemFormatError("degree_bound must be an integer")
 
     return ProblemSpec(

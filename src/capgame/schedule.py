@@ -5,8 +5,15 @@ schedule picks at each step the point whose visit count lags furthest below
 its target share: i_{k+1} minimizes omega_i(k) - k*a_i, ties to the smallest
 id.  The deviations omega_i(k) - k*a_i then stay inside [1 - |I|, 1].
 
-All arithmetic is exact; internally the deviations are scaled by the common
-denominator of a so the hot loop runs on integers.
+All three routines work on integers: the deviations are scaled by the common
+denominator d of a, and the weighted floor by one common denominator of the
+matrix and v'.  They also certify over one period.  The scaled deviations
+vanish together only at multiples of d, and the first step P where they do
+puts the greedy rule back in its start state.  A sequence that repeats with
+period P (checked outright, so hand-built schedules stay sound) has
+deviations of period P and column sums that gain the same amount every
+period, so one period of work gives the exact answer at any horizon.
+Without such a P the period is the whole sequence.
 """
 
 from __future__ import annotations
@@ -14,6 +21,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
 from typing import Optional, Sequence
 
 from .errors import PreconditionError
@@ -76,8 +84,7 @@ def build_schedule(a, K: int, ids: Optional[Sequence[int]] = None) -> Schedule:
     if list(id_list) != sorted(id_list):
         raise PreconditionError("schedule ids must be sorted ascending")
 
-    d = math.lcm(*(w.denominator for w in weights))
-    n = [int(w * d) for w in weights]  # a_i = n_i / d
+    d, n = _scaled_weights(weights)
     # v_i tracks d*(omega_i(k) - k*a_i); pick argmin, then advance one step
     v = [0] * m
     seq = []
@@ -87,7 +94,42 @@ def build_schedule(a, K: int, ids: Optional[Sequence[int]] = None) -> Schedule:
         seq.append(id_list[j])
         v = [v[i] - n[i] for i in rng]
         v[j] += d
+        if not any(v):
+            break  # back in the start state, so seq repeats from here on
+    P = len(seq)
+    if P:
+        seq = seq * (K // P) + seq[: K % P]
     return Schedule(ids=id_list, a=weights, K=K, sequence=tuple(seq))
+
+
+def _scaled_weights(a) -> tuple:
+    """(d, n) with a_i = n_i / d, d the lcm of the denominators."""
+    weights = [Fraction(w) for w in a]
+    d = math.lcm(*(w.denominator for w in weights))
+    return d, [w.numerator * (d // w.denominator) for w in weights]
+
+
+def _one_period(schedule: Schedule, d: int, n: list) -> list:
+    """Indices of the points visited in one period of the sequence.
+
+    The period ends at the first step P where every scaled deviation
+    d*omega_i(P) - P*n_i is zero, provided the sequence repeats with
+    period P; otherwise it is the whole sequence.
+    """
+    pos = {pid: i for i, pid in enumerate(schedule.ids)}
+    seq = schedule.sequence
+    counts = [0] * len(n)
+    idx = []
+    for k, pid in enumerate(seq, start=1):
+        i = pos[pid]
+        idx.append(i)
+        counts[i] += 1
+        if k % d == 0 and all(c * d == k * x for c, x in zip(counts, n)):
+            break
+    P, K = len(idx), len(seq)
+    if P < K and seq != seq[:P] * (K // P) + seq[: K % P]:
+        idx += [pos[pid] for pid in seq[P:]]
+    return idx
 
 
 @dataclass(frozen=True)
@@ -101,16 +143,16 @@ class BoundsReport:
 
 
 def check_bounds(schedule: Schedule) -> BoundsReport:
-    """Exact verification of 1 - |I| <= omega_i(k) - k*a_i <= 1 at every step."""
+    """Exact verification of 1 - |I| <= omega_i(k) - k*a_i <= 1 at every step.
+
+    The deviations repeat with the period, so one period covers every step.
+    """
     m = schedule.size
-    d = math.lcm(*(w.denominator for w in schedule.a))
-    n = [int(w * d) for w in schedule.a]
-    pos = {pid: i for i, pid in enumerate(schedule.ids)}
+    d, n = _scaled_weights(schedule.a)
     v = [0] * m
     max_num, min_num = 0, 0
     rng = range(m)
-    for pid in schedule.sequence:
-        j = pos[pid]
+    for j in _one_period(schedule, d, n):
         v = [v[i] - n[i] for i in rng]
         v[j] += d
         hi, lo = max(v), min(v)
@@ -162,22 +204,49 @@ def weighted_floor(schedule: Schedule, matrix, v_prime) -> WeightedFloorReport:
         _column_payoff(rows, schedule.a, j) > v_prime for j in range(m)
     )
 
-    pos = {pid: i for i, pid in enumerate(schedule.ids)}
-    # running column sums S_j(k) = sum_i omega_i(k) G_ij; INF stays INF
-    sums: list = [Fraction(0)] * m
-    c = Fraction(0)
-    worst_k, worst_j = 0, 0
-    for k, pid in enumerate(schedule.sequence, start=1):
-        i = pos[pid]
-        for j in range(m):
-            if sums[j] == INF:
-                continue
-            entry = rows[i][j]
-            sums[j] = INF if entry == INF else sums[j] + entry
-            if sums[j] != INF:
-                gap = k * v_prime - sums[j]
-                if gap > c:
-                    c, worst_k, worst_j = gap, k, j
+    d, n = _scaled_weights(schedule.a)
+    idx = _one_period(schedule, d, n)
+    K, P = len(schedule.sequence), len(idx)
+    # one common denominator D puts v' and every finite entry on the integers
+    D = math.lcm(v_prime.denominator, *(e.denominator for r in rows for e in r if e != INF))
+    V = v_prime.numerator * (D // v_prime.denominator)
+    c, worst_k, worst_j = 0, 0, 0
+    for j in range(m):
+        # D*(v' - G_ij) per visit to i; None marks an infinite entry
+        gain = [None if r[j] == INF else V - r[j].numerator * (D // r[j].denominator)
+                for r in rows]
+        # the first visit to an infinite entry satisfies column j for good
+        end = min((idx.index(i) for i, g in enumerate(gain) if g is None and i in idx),
+                  default=P)
+        # gaps[k-1] = D*(k*v' - S_j(k)) over the steps before the column dies
+        gaps = list(accumulate(gain[i] for i in idx[:end]))
+        if not gaps:
+            continue
+        gap, k = _worst_step(gaps, K, P)
+        if gap > c or (gap == c and k < worst_k):
+            c, worst_k, worst_j = gap, k, j
     return WeightedFloorReport(
-        c=c, precondition_ok=precondition_ok, worst_k=worst_k, worst_column=worst_j
+        c=Fraction(c, D), precondition_ok=precondition_ok, worst_k=worst_k, worst_column=worst_j
     )
+
+
+def _worst_step(gaps: list, K: int, P: int) -> tuple:
+    """Largest gap of one column over steps 1..K and the first step with it.
+
+    A column that stays finite for a whole period (len(gaps) == P) has
+    gap(k + t*P) = gap(k) + t*gaps[-1]; one that dies inside the first
+    period has no gaps past it.
+    """
+    drift = gaps[-1] if len(gaps) == P else 0
+    if drift <= 0:
+        top = max(gaps)
+        return top, gaps.index(top) + 1
+    q, r = divmod(K, P)
+    # steps r+1..P last recur in period q-1, steps 1..r in period q
+    top = max(gaps[r:])
+    best = (top + (q - 1) * drift, gaps.index(top, r) + 1 + (q - 1) * P)
+    if r:
+        top = max(gaps[:r])
+        if top + q * drift > best[0]:
+            best = (top + q * drift, gaps.index(top) + 1 + q * P)
+    return best

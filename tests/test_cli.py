@@ -18,12 +18,13 @@ EXP_SMALL = ROOT / "problems" / "exp_small_disk.json"
 TWO_POINT = ROOT / "problems" / "two_point_interval.json"
 
 
-def run_cli(*args):
+def run_cli(*args, timeout=None):
     return subprocess.run(
         [sys.executable, "-m", "capgame", *args],
         capture_output=True,
         text=True,
         cwd=ROOT,
+        timeout=timeout,
     )
 
 
@@ -203,3 +204,48 @@ def test_to_json_formats():
     # keys are emitted sorted, floats at 15 significant digits
     assert to_json({"b": 1, "a": 2}).index('"a"') < to_json({"b": 1, "a": 2}).index('"b"')
     assert to_json(math.log(2)) == "0.693147180559945"
+
+
+# --- malformed documents exit 2 ----------------------------------------------
+
+
+def _check_mutated(tmp_path, mutate):
+    doc = json.loads(BOREL_DWORK.read_text())
+    mutate(doc)
+    path = tmp_path / "mutated.json"
+    path.write_text(json.dumps(doc))
+    res = run_cli("check", str(path))
+    assert res.returncode == 2, res.stderr
+    assert json.loads(res.stdout)["error"]["kind"] == "parse"
+    assert "Traceback" not in res.stderr
+
+
+def test_cli_bad_placement_key_exit_2(tmp_path):
+    _check_mutated(tmp_path, lambda d: d["arch_places"][0].update(placement={"x": 0}))
+
+
+def test_cli_point_not_an_object_exit_2(tmp_path):
+    _check_mutated(tmp_path, lambda d: d["points"].append(7))
+
+
+def test_cli_extra_place_not_an_object_exit_2(tmp_path):
+    _check_mutated(tmp_path, lambda d: d.update(extra_places=["abc"]))
+
+
+def test_cli_extra_place_non_numeric_entry_exit_2(tmp_path):
+    _check_mutated(tmp_path, lambda d: d.update(extra_places=[{"entries": [["abc"]]}]))
+
+
+def test_cli_degree_bound_true_exit_2(tmp_path):
+    _check_mutated(tmp_path, lambda d: d.update(degree_bound=True))
+
+
+def test_cli_large_prime_place_is_fast(tmp_path):
+    doc = json.loads(BOREL_DWORK.read_text())
+    doc["nonarch_places"] = [{"p": 1000000000000000009}]
+    path = tmp_path / "large_prime.json"
+    path.write_text(json.dumps(doc))
+    # trial division up to 10**9 took over a minute here; Miller-Rabin is instant
+    res = run_cli("check", str(path), timeout=30)
+    assert res.returncode == 0
+    assert json.loads(res.stdout)["agreement"] == "confirmed"

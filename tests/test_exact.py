@@ -48,6 +48,36 @@ def test_is_prime():
     assert is_prime(97)
 
 
+def _trial_division_is_prime(n):
+    if n < 2:
+        return False
+    f = 2
+    while f * f <= n:
+        if n % f == 0:
+            return False
+        f += 1
+    return True
+
+
+def test_is_prime_agrees_with_trial_division():
+    assert all(is_prime(n) == _trial_division_is_prime(n) for n in range(10**5))
+
+
+def test_is_prime_carmichael_and_large():
+    carmichael = [561, 1105, 1729, 2465, 2821, 6601, 8911, 41041, 825265, 321197185]
+    assert not any(is_prime(n) for n in carmichael)
+    # strong pseudoprimes to the bases 2, 3, 5, 7 and to all primes up to 37
+    assert not is_prime(3215031751)
+    assert not is_prime(318665857834031151167461)
+    assert is_prime(1000000000000000009)
+    assert is_prime(2**61 - 1) and not is_prime(2**61 + 1)
+
+
+def test_is_prime_refuses_beyond_certified_range():
+    with pytest.raises(PreconditionError):
+        is_prime(3317044064679887385961981)  # strong pseudoprime to all 13 bases
+
+
 def test_padic_valuation():
     assert padic_valuation(F(3, 2), 2) == -1
     assert padic_valuation(F(3, 2), 3) == 1

@@ -7,7 +7,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from capgame.errors import PreconditionError
-from capgame.schedule import build_schedule, check_bounds, weighted_floor
+from capgame.game import _column_payoff, rationalize_matrix
+from capgame.schedule import (
+    BoundsReport,
+    Schedule,
+    WeightedFloorReport,
+    build_schedule,
+    check_bounds,
+    weighted_floor,
+)
 
 F = Fraction
 
@@ -135,3 +143,173 @@ def test_weighted_floor_precondition_diagnostic():
     rep = weighted_floor(s, [[F(0), F(1)], [F(1), F(0)]], F(2))
     assert not rep.precondition_ok  # reported, not raised
     assert rep.c > 0
+
+
+# --- equivalence with the step-by-step Fraction loops -------------------------
+#
+# The library certifies one period and extrapolates; the reference below walks
+# every step with Fraction sums.  Whole reports and schedules must agree.
+
+
+def _ref_build(a, K, ids=None):
+    weights = tuple(F(v) for v in a)
+    m = len(weights)
+    id_list = tuple(ids) if ids is not None else tuple(range(1, m + 1))
+    d = math.lcm(*(w.denominator for w in weights))
+    n = [int(w * d) for w in weights]
+    v = [0] * m
+    seq = []
+    for _ in range(K):
+        j = v.index(min(v))
+        seq.append(id_list[j])
+        v = [v[i] - n[i] for i in range(m)]
+        v[j] += d
+    return Schedule(ids=id_list, a=weights, K=K, sequence=tuple(seq))
+
+
+def _ref_bounds(schedule):
+    m = schedule.size
+    d = math.lcm(*(w.denominator for w in schedule.a))
+    n = [int(w * d) for w in schedule.a]
+    pos = {pid: i for i, pid in enumerate(schedule.ids)}
+    v = [0] * m
+    max_num, min_num = 0, 0
+    for pid in schedule.sequence:
+        j = pos[pid]
+        v = [v[i] - n[i] for i in range(m)]
+        v[j] += d
+        max_num = max(max_num, max(v))
+        min_num = min(min_num, min(v))
+    max_dev, min_dev = F(max_num, d), F(min_num, d)
+    return BoundsReport(max_dev=max_dev, min_dev=min_dev,
+                        verdict=(max_dev <= 1 and min_dev >= 1 - m))
+
+
+def _ref_floor(schedule, matrix, v_prime):
+    rows = rationalize_matrix(matrix)
+    m = schedule.size
+    v_prime = F(v_prime)
+    precondition_ok = all(_column_payoff(rows, schedule.a, j) > v_prime for j in range(m))
+    pos = {pid: i for i, pid in enumerate(schedule.ids)}
+    sums = [F(0)] * m
+    c, worst_k, worst_j = F(0), 0, 0
+    for k, pid in enumerate(schedule.sequence, start=1):
+        i = pos[pid]
+        for j in range(m):
+            if sums[j] == math.inf:
+                continue
+            entry = rows[i][j]
+            sums[j] = math.inf if entry == math.inf else sums[j] + entry
+            if sums[j] != math.inf:
+                gap = k * v_prime - sums[j]
+                if gap > c:
+                    c, worst_k, worst_j = gap, k, j
+    return WeightedFloorReport(c=c, precondition_ok=precondition_ok,
+                               worst_k=worst_k, worst_column=worst_j)
+
+
+def _random_weights(rng, m, short_period):
+    if short_period:
+        raw = [rng.randint(1, 6) for _ in range(m)]
+        return normalized(raw)
+    raw = [F(rng.random()).limit_denominator(10**6) for _ in range(m)]
+    return [w / sum(raw) for w in raw]
+
+
+def _random_matrix(rng, m, kind):
+    def entry():
+        if kind == "float":
+            return rng.uniform(-2, 3)
+        return F(rng.randint(-20, 30), rng.randint(1, 12))
+
+    rows = [[entry() for _ in range(m)] for _ in range(m)]
+    if kind == "inf":
+        for _ in range(rng.randint(1, m)):
+            rows[rng.randrange(m)][rng.randrange(m)] = math.inf
+    return rows
+
+
+def _assert_same(sched, matrix, v_prime):
+    assert check_bounds(sched) == _ref_bounds(sched)
+    assert weighted_floor(sched, matrix, v_prime) == _ref_floor(sched, matrix, v_prime)
+
+
+def test_equivalence_random_schedules():
+    rng = random.Random(2024)
+    for case in range(300):
+        m = rng.randint(1, 8)
+        a = _random_weights(rng, m, short_period=case % 2 == 0)
+        d = math.lcm(*(w.denominator for w in a))
+        horizons = [0, 1, rng.randint(1, 400)]
+        if d <= 100:  # K a multiple of the period, and one that is not
+            horizons += [d, 2 * d, 3 * d + rng.randint(1, max(1, d - 1))]
+        K = rng.choice(horizons)
+        sched = build_schedule(a, K)
+        assert sched == _ref_build(a, K)
+        for kind in ("float", "fraction", "inf"):
+            matrix = _random_matrix(rng, m, kind)
+            v_prime = F(rng.randint(-10, 40), rng.randint(1, 9))
+            _assert_same(sched, matrix, v_prime)
+
+
+def test_equivalence_lcm_above_horizon():
+    rng = random.Random(7)
+    for _ in range(40):
+        m = rng.randint(2, 6)
+        a = _random_weights(rng, m, short_period=False)
+        K = rng.randint(50, 300)
+        assert math.lcm(*(w.denominator for w in a)) > K
+        sched = build_schedule(a, K, ids=range(10, 10 + m))
+        assert sched == _ref_build(a, K, ids=range(10, 10 + m))
+        _assert_same(sched, _random_matrix(rng, m, "float"), F(1, 3))
+
+
+def test_equivalence_column_dies_mid_period():
+    # period 7; the +inf entry in row 2 kills column 0 at the first visit to
+    # point 2, in the middle of the first period
+    a = [F(3, 7), F(2, 7), F(2, 7)]
+    sched = build_schedule(a, 7 * 20 + 3)
+    assert sched.sequence[:7] == (1, 2, 3, 1, 2, 3, 1)
+    g = [[F(1, 2), F(0), F(1)], [F(1), F(1, 3), F(0)], [math.inf, F(2), F(1, 5)]]
+    for v_prime in (F(1, 10), F(1, 2), F(2), F(5)):
+        _assert_same(sched, g, v_prime)
+    assert weighted_floor(sched, g, F(5)).worst_column != 0
+
+
+def test_equivalence_horizon_multiple_and_not_of_period():
+    a = [F(1, 2), F(1, 3), F(1, 6)]
+    g = [[F(1), F(-1), F(2)], [F(0), F(3), F(-1)], [F(2), F(1), F(0)]]
+    for K in (0, 5, 6, 12, 600, 601, 605):
+        sched = build_schedule(a, K)
+        assert sched == _ref_build(a, K)
+        for v_prime in (F(-1), F(1, 2), F(3, 4), F(7, 6), F(3)):
+            _assert_same(sched, g, v_prime)
+
+
+def test_equivalence_ties():
+    # small integer entries make equal gaps common: across columns, across
+    # residues of the period, and between the last two periods of the horizon
+    rng = random.Random(3)
+    for _ in range(300):
+        m = rng.randint(1, 4)
+        a = _random_weights(rng, m, short_period=True)
+        K = rng.randint(0, 60)
+        g = [[F(rng.randint(0, 2)) for _ in range(m)] for _ in range(m)]
+        _assert_same(build_schedule(a, K), g, F(rng.randint(1, 4), 2))
+
+
+def test_equivalence_broken_periodic_prefix():
+    rng = random.Random(11)
+    for _ in range(60):
+        m = rng.randint(2, 5)
+        a = _random_weights(rng, m, short_period=True)
+        d = math.lcm(*(w.denominator for w in a))
+        K = d * rng.randint(3, 8) + rng.randint(0, d)
+        seq = list(build_schedule(a, K).sequence)
+        # break the repetition late in the sequence
+        k = rng.randint(max(d, K - d), K - 1)
+        seq[k] = rng.choice([pid for pid in range(1, m + 1) if pid != seq[k]])
+        bad = Schedule(ids=tuple(range(1, m + 1)), a=tuple(a), K=K, sequence=tuple(seq))
+        matrix = _random_matrix(rng, m, rng.choice(["float", "fraction", "inf"]))
+        _assert_same(bad, matrix, F(rng.randint(0, 20), 7))
+
