@@ -211,8 +211,19 @@ def _inverse_joukowski(phi):
     return phi + np.sqrt(phi - 1.0) * np.sqrt(phi + 1.0)
 
 
+def _radius_unit(radius: float) -> float:
+    """A power of two near the radius.
+
+    The disk formulas square the radius, which overflows from R ~ 1.3e154.
+    Every coordinate is divided by this unit first; a power of two scales
+    each rounding exactly, so the results keep every bit."""
+    return math.ldexp(1.0, math.frexp(radius)[1])
+
+
 def _disk_green_values(center: complex, radius: float, pole: complex, z):
-    z = np.asarray(z, dtype=complex)
+    unit = _radius_unit(radius)
+    center, radius, pole = center / unit, radius / unit, pole / unit
+    z = np.asarray(z, dtype=complex) / unit
     num = np.abs(radius * radius - np.conj(pole - center) * (z - center))
     den = radius * np.abs(z - pole)
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -222,9 +233,11 @@ def _disk_green_values(center: complex, radius: float, pole: complex, z):
 def _exterior_green_values(center: complex, radius: float, pole, z):
     # invert through the circle: m(z) = c + R^2/(z - c) maps the exterior
     # onto the disk and infinity onto the center
-    z = np.asarray(z, dtype=complex)
+    unit = _radius_unit(radius)
+    center, radius = center / unit, radius / unit
+    z = np.asarray(z, dtype=complex) / unit
     r2 = radius * radius
-    m_pole = center if pole is None else center + r2 / (complex(pole) - center)
+    m_pole = center if pole is None else center + r2 / (complex(pole) / unit - center)
     with np.errstate(divide="ignore", invalid="ignore"):
         m_z = center + r2 / (z - center)
     return _disk_green_values(center, radius, m_pole, m_z)
@@ -260,14 +273,10 @@ def _green_at_infinity(comp: Component, pole) -> float:
         raise PreconditionError("infinity is outside a bounded disk")
     if isinstance(comp, ExteriorDisk):
         # m(infinity) = center
-        return float(
-            _disk_green_values(
-                float(comp.center),
-                float(comp.radius),
-                float(comp.center) + float(comp.radius) ** 2 / (complex(pole) - float(comp.center)),
-                np.asarray(complex(comp.center)),
-            )
-        )
+        unit = _radius_unit(float(comp.radius))
+        c, r = float(comp.center) / unit, float(comp.radius) / unit
+        m_pole = c + r**2 / (complex(pole) / unit - c)
+        return float(_disk_green_values(c, r, m_pole, np.asarray(complex(c))))
     a, b = float(comp.a), float(comp.b)
     psi_w = complex(_inverse_joukowski((2.0 * complex(pole) - a - b) / (b - a)))
     return math.log(abs(psi_w))
@@ -333,18 +342,21 @@ def robin_constant(domain: ArchDomain, pole, convention: Optional[str] = None) -
     comp = components_of(domain)[idx]
 
     if isinstance(comp, Disk):
-        w = float(comp.center) - float(Fraction(pole))
-        r = float(comp.radius)
+        unit = _radius_unit(float(comp.radius))
+        w = (float(comp.center) - float(Fraction(pole))) / unit
+        r = float(comp.radius) / unit
         # g + log|z - w| -> log((R^2 - |w - c|^2) / R)
-        return math.log((r * r - w * w) / r)
+        return math.log((r * r - w * w) / r * unit)
 
     if isinstance(comp, ExteriorDisk):
         r = float(comp.radius)
         if is_infinite(pole):
             # g(z) = log(|z - c| / R), so g - log|z| -> -log R
             return -math.log(r)
-        d = abs(float(Fraction(pole)) - float(comp.center))
-        return math.log((d * d - r * r) / r)
+        unit = _radius_unit(r)
+        d = abs(float(Fraction(pole)) - float(comp.center)) / unit
+        r /= unit
+        return math.log((d * d - r * r) / r * unit)
 
     a, b = float(comp.a), float(comp.b)
     if is_infinite(pole):

@@ -86,22 +86,34 @@ def padic_valuation(q: Fraction, p: int) -> int:
     return v
 
 
+# trial division bound of `support_primes`: a cofactor left without a
+# factor up to it is prime below its square, and is tested above it
+FACTOR_BOUND = 10**6
+
+
 def support_primes(q: Fraction) -> tuple[int, ...]:
-    """Primes dividing the numerator or denominator of a nonzero rational."""
+    """Primes dividing the numerator or denominator of a nonzero rational.
+
+    Raises PreconditionError when the numerator or the denominator has a
+    composite factor with no prime factor up to FACTOR_BOUND."""
     if q == 0:
         raise PreconditionError("zero has no prime support")
-    primes = []
-    n = abs(q.numerator) * q.denominator
-    f = 2
-    while f * f <= n:
-        if n % f == 0:
-            primes.append(f)
-            while n % f == 0:
-                n //= f
-        f += 1 if f == 2 else 2
-    if n > 1:
-        primes.append(n)
-    return tuple(primes)
+    primes = set()
+    for n in (abs(q.numerator), q.denominator):
+        f = 2
+        while f * f <= n and f <= FACTOR_BOUND:
+            if n % f == 0:
+                primes.add(f)
+                while n % f == 0:
+                    n //= f
+            f += 1 if f == 2 else 2
+        if n > 1:
+            if f * f <= n and not is_prime(n):
+                raise PreconditionError(
+                    f"cannot factor {n}: composite with no prime factor up to {FACTOR_BOUND}"
+                )
+            primes.add(n)
+    return tuple(sorted(primes))
 
 
 # ---------------------------------------------------------------------------

@@ -11,14 +11,19 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import count
+from math import comb
 from typing import Optional, Sequence
 
 from .errors import PreconditionError
 from .exact import (
+    F0,
+    F1,
     determinant,
     format_rational,
     nullspace,
     poly,
+    poly_add,
     poly_deg,
     poly_gcd,
     poly_divmod,
@@ -26,6 +31,8 @@ from .exact import (
     poly_reverse,
     poly_scale,
     poly_shift,
+    poly_sub,
+    series_div,
 )
 from .formal import LocalSeries, MarkedPoint, check_distinct_points, expand_rational_at_point
 
@@ -154,12 +161,13 @@ def pade(series, d_num: int, d_den: int) -> Optional[RationalFunction]:
 def multipoint_reconstruct(jets: Sequence[LocalSeries], d: int,
                            points: Optional[Sequence[MarkedPoint]] = None,
                            ) -> Optional[RationalFunction]:
-    """One rational function of degree <= d matching every jet simultaneously.
+    """The rational function of degree <= d matching every jet simultaneously.
 
-    Jets are matched in each point's own local parameter (at infinity via the
-    degree-d homogenization).  The homogeneous linear system is solved
-    exactly; every kernel candidate is re-expanded at every point and must
-    reproduce the full jets, otherwise None is returned.
+    Jets are matched in each point's own local parameter.  Two functions of
+    degree <= d that agree on 2d + 1 conditions are equal, so the answer is
+    unique; it is found by rational reconstruction (`_reconstruct`) and
+    re-expanded at every point against the full jets, otherwise None is
+    returned.
     """
     if d < 0:
         raise PreconditionError("degree bound must be >= 0")
@@ -174,42 +182,85 @@ def multipoint_reconstruct(jets: Sequence[LocalSeries], d: int,
             f"insufficient total jet order: {conditions} conditions for "
             f"{2 * d + 2} unknowns"
         )
+    return _reconstruct(jets, points, d)
 
-    ncols = 2 * (d + 1)  # p_0..p_d then q_0..q_d
-    rows = []
-    monomials = [tuple(Fraction(int(k == j)) for k in range(d + 1)) for j in range(d + 1)]
+
+def _moebius_jet(coeffs: tuple, a: Fraction, b: Fraction) -> list:
+    """The jet sum_k c_k t^k rewritten in s, where t = a*s / (1 + b*s).
+
+    The coefficient of s^n in (a*s)^k (1 + b*s)^(-k) is
+    a^k (-b)^(n-k) C(n-1, k-1) for 1 <= k <= n."""
+    order = len(coeffs) - 1
+    a_pow = [F1]
+    b_pow = [F1]
+    for _ in range(order):
+        a_pow.append(a_pow[-1] * a)
+        b_pow.append(b_pow[-1] * -b)
+    out = [coeffs[0]]
+    for n in range(1, order + 1):
+        out.append(sum(coeffs[k] * a_pow[k] * b_pow[n - k] * comb(n - 1, k - 1)
+                       for k in range(1, n + 1) if coeffs[k] != 0))
+    return out
+
+
+def _reconstruct(jets: Sequence[LocalSeries], points: Sequence[MarkedPoint],
+                 d: int) -> Optional[RationalFunction]:
+    """Rational function reconstruction from the first 2d + 2 conditions,
+    verified against the full jets.
+
+    If infinity is marked, w = 1/(z - c) moves every point to a finite one,
+    c the least non-negative integer that is not a marked coordinate.  The
+    jets are combined by CRT into F mod M with deg M = 2d + 2, and the
+    extended Euclidean algorithm on (M, F) runs to the first remainder r of
+    degree <= d, with cofactor t (t*F = r mod M).  A function of degree <= d
+    matching the data equals r/t (von zur Gathen and Gerhard, Modern
+    Computer Algebra, Thm 5.16 with k = d + 1)."""
+    remaining = 2 * d + 2
+    c = None
+    if any(pt.is_infinite for pt in points):
+        marked = {pt.coordinate for pt in points}
+        c = next(n for n in count() if n not in marked)
+    nodes = []
     for jet, pt in zip(jets, points):
-        coeffs = _coefficients(jet)
-        order = len(coeffs) - 1
-        if pt.is_infinite:
-            # t = 1/z: compare t^d * q(1/t) * f(t) with t^d * p(1/t)
-            p_basis = [poly_reverse(mono, d) for mono in monomials]
-            q_basis = p_basis
+        coeffs = _coefficients(jet)[:remaining]
+        if not coeffs:
+            break
+        remaining -= len(coeffs)
+        if c is None:
+            nodes.append((pt.coordinate, coeffs))
+        elif pt.is_infinite:
+            nodes.append((F0, _moebius_jet(coeffs, F1, c)))
         else:
-            p_basis = [poly_shift(mono, pt.coordinate) for mono in monomials]
-            q_basis = p_basis
-        for r in range(order + 1):
-            row = [Fraction(0)] * ncols
-            for k in range(d + 1):
-                basis = p_basis[k]
-                row[k] = -(basis[r] if r < len(basis) else Fraction(0))
-                conv = Fraction(0)
-                for m, qc in enumerate(q_basis[k]):
-                    if qc != 0 and 0 <= r - m <= order:
-                        conv += qc * coeffs[r - m]
-                row[d + 1 + k] = conv
-            rows.append(row)
+            u = pt.coordinate - c
+            nodes.append((1 / u, _moebius_jet(coeffs, -u * u, u)))
 
-    for vec in nullspace(rows, ncols):
-        num = poly(vec[: d + 1])
-        den = poly(vec[d + 1 :])
-        if not den:
-            continue
-        candidate = RationalFunction(num, den)
-        if all(_matches_jet(candidate, pt, _coefficients(j)) for j, pt in zip(jets, points)):
-            return candidate
-    if all(all(c == 0 for c in _coefficients(j)) for j in jets):
-        return RationalFunction((), (Fraction(1),))
+    # Hermite CRT: F <- F + M*h with M*h = jet - F mod (z - x)^n at each node
+    f, m = (), (F1,)
+    for x, coeffs in nodes:
+        n = len(coeffs)
+        h = series_div(poly_sub(poly(coeffs), poly_shift(f, x)), poly_shift(m, x), n - 1)
+        f = poly_add(f, poly_mul(m, poly_shift(poly(h), -x)))
+        m = poly_mul(m, poly_shift((F0,) * n + (F1,), -x))
+
+    # remainders kept monic (r and t scaled alike) against coefficient swell
+    r0, r1, t0, t1 = m, f, (), (F1,)
+    while poly_deg(r1) > d:
+        q, r = poly_divmod(r0, r1)
+        t = poly_sub(t0, poly_mul(q, t1))
+        if r:
+            inv = 1 / r[-1]
+            r, t = poly_scale(r, inv), poly_scale(t, inv)
+        r0, r1, t0, t1 = r1, r, t1, t
+    if poly_deg(t1) > d:
+        return None
+    num, den = r1, t1
+    if c is not None:
+        # z = c + 1/w: multiply through by (z - c)^D
+        deg = max(poly_deg(num), poly_deg(den))
+        num, den = (poly_shift(poly_reverse(p, deg), -c) for p in (num, den))
+    candidate = RationalFunction(num, den)
+    if all(_matches_jet(candidate, pt, _coefficients(j)) for j, pt in zip(jets, points)):
+        return candidate
     return None
 
 
@@ -236,8 +287,9 @@ def certify_rationality(
     points: Sequence[MarkedPoint],
     degree_bound: Optional[int] = None,
 ) -> OracleReport:
-    """Search degrees d = 0, 1, ... up to the data-supported cap (and the
-    given bound, if any) for a verified simultaneous rational match."""
+    """The verified rational match of least degree up to the data-supported
+    cap (and the given bound, if any); it is unique, so one reconstruction
+    at the cap finds it."""
     conditions = sum(j.order + 1 for j in jets)
     cap = (conditions - 2) // 2
     if degree_bound is not None:
@@ -245,8 +297,11 @@ def certify_rationality(
             raise PreconditionError("degree bound must be >= 0")
         cap = min(cap, degree_bound)
     orders = {j.point: j.order for j in jets}
-    for d in range(cap + 1):
-        found = multipoint_reconstruct(jets, d, points=points)
+    if cap >= 0:
+        if len(points) != len(jets):
+            raise PreconditionError("one marked point per jet is required")
+        check_distinct_points(points)
+        found = _reconstruct(jets, points, cap)
         if found is not None:
             return OracleReport("rational", found, orders, cap)
     return OracleReport("not_found", None, orders, cap)

@@ -125,7 +125,10 @@ def _require(obj: dict, key: str, kind, where: str):
     if key not in obj:
         raise ProblemFormatError(f"missing field {key!r} in {where}")
     val = obj[key]
-    if kind is not None and not isinstance(val, kind):
+    # bool is a subclass of int, but true is not an integer field
+    if kind is not None and (
+        not isinstance(val, kind) or (kind is int and isinstance(val, bool))
+    ):
         raise ProblemFormatError(f"field {key!r} in {where} has the wrong type")
     return val
 
@@ -139,6 +142,8 @@ def _optional(obj: dict, key: str, kind, where: str):
 
 
 def _parse_int(text, where: str) -> int:
+    if isinstance(text, bool):
+        raise ProblemFormatError(f"bad integer {text!r} in {where}")
     try:
         return int(text)
     except (TypeError, ValueError):

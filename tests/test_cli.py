@@ -179,6 +179,18 @@ def test_cli_oracle():
     assert report["denominator"] == ["-1/2", "1"]
 
 
+GOLDEN = ROOT / "tests" / "golden"
+
+
+@pytest.mark.parametrize("command", ["check", "oracle"])
+@pytest.mark.parametrize("problem", sorted(p.stem for p in (ROOT / "problems").glob("*.json")))
+def test_cli_output_matches_golden(problem, command):
+    # default JSON of the shipped problems is pinned byte for byte
+    res = run_cli(command, str(ROOT / "problems" / f"{problem}.json"))
+    assert res.returncode == 0, res.stderr
+    assert res.stdout == (GOLDEN / f"{problem}.{command}.json").read_text()
+
+
 def test_cli_deterministic_output():
     a = run_cli("check", str(BOREL_DWORK))
     b = run_cli("check", str(BOREL_DWORK))
@@ -218,6 +230,7 @@ def _check_mutated(tmp_path, mutate):
     assert res.returncode == 2, res.stderr
     assert json.loads(res.stdout)["error"]["kind"] == "parse"
     assert "Traceback" not in res.stderr
+    return json.loads(res.stdout)["error"]["message"]
 
 
 def test_cli_bad_placement_key_exit_2(tmp_path):
@@ -240,6 +253,17 @@ def test_cli_degree_bound_true_exit_2(tmp_path):
     _check_mutated(tmp_path, lambda d: d.update(degree_bound=True))
 
 
+def test_cli_point_id_true_exit_2(tmp_path):
+    # true used to parse as point 1 and fail later at the placement
+    message = _check_mutated(tmp_path, lambda d: d["points"][0].update(id=True))
+    assert message == "field 'id' in points[0] has the wrong type"
+
+
+def test_cli_placement_component_true_exit_2(tmp_path):
+    message = _check_mutated(tmp_path, lambda d: d["arch_places"][0].update(placement={"0": True}))
+    assert message == "bad integer True in arch_places[0].placement"
+
+
 def test_cli_large_prime_place_is_fast(tmp_path):
     doc = json.loads(BOREL_DWORK.read_text())
     doc["nonarch_places"] = [{"p": 1000000000000000009}]
@@ -249,3 +273,49 @@ def test_cli_large_prime_place_is_fast(tmp_path):
     res = run_cli("check", str(path), timeout=30)
     assert res.returncode == 0
     assert json.loads(res.stdout)["agreement"] == "confirmed"
+
+
+# --- large disk radius ---------------------------------------------------------
+
+
+@pytest.mark.parametrize("npoints", [1, 2])
+def test_cli_disk_radius_1e300(tmp_path, npoints):
+    # the radius was squared in floats: inf from R ~ 1.3e154 and exit 4
+    doc = json.loads(BOREL_DWORK.read_text())
+    doc["arch_places"][0]["domain"]["radius"] = "1e300"
+    if npoints == 2:
+        doc["points"].append({"id": 1, "coordinate": "1"})
+        doc["series"].append({"point": 1, "coefficients": ["-1", "2", "-4"]})
+        doc["arch_places"][0]["placement"]["1"] = 0
+    path = tmp_path / "big_disk.json"
+    path.write_text(json.dumps(doc))
+    res = run_cli("check", str(path))
+    assert res.returncode == 0, res.stdout
+    report = json.loads(res.stdout)
+    assert report["V_G"] == pytest.approx(300 * math.log(10), rel=1e-12)
+    assert report["oracle"]["status"] == "rational"
+
+
+# --- bounded factoring of scalings -------------------------------------------
+
+
+def _check_scaling(tmp_path, scalar):
+    doc = json.loads(BOREL_DWORK.read_text())
+    doc["scalings"] = [{"point": 0, "scalar": scalar}]
+    path = tmp_path / "scaled.json"
+    path.write_text(json.dumps(doc))
+    # trial division of these took hours; the bounded search takes well under 1 s
+    return run_cli("check", str(path), timeout=20)
+
+
+def test_cli_large_prime_scaling_is_fast(tmp_path):
+    res = _check_scaling(tmp_path, "1000000000000000003")
+    assert res.returncode == 0, res.stdout
+    assert "p=1000000000000000003" in json.loads(res.stdout)["matrix"]["places"]
+
+
+def test_cli_unfactorable_scaling_exit_4(tmp_path):
+    res = _check_scaling(tmp_path, str(999999999989 * 1000000000039))
+    assert res.returncode == 4
+    assert json.loads(res.stdout)["error"]["kind"] == "precondition"
+    assert "Traceback" not in res.stderr

@@ -95,6 +95,17 @@ def test_support_primes():
     assert support_primes(F(30)) == (2, 3, 5)
 
 
+def test_support_primes_bounded_factoring():
+    # numerator and denominator are factored apart, each up to FACTOR_BOUND
+    assert support_primes(F(10**18 + 3, 10**18 + 9)) == (10**18 + 3, 10**18 + 9)
+    assert support_primes(F(999983 * 1000003)) == (999983, 1000003)
+    assert support_primes(F(2**5 * 1000003)) == (2, 1000003)
+    with pytest.raises(PreconditionError, match="cannot factor"):
+        support_primes(F(999999999989 * 1000000000039))
+    with pytest.raises(PreconditionError, match="cannot factor"):
+        support_primes(F(1, 1000003**2))
+
+
 def test_poly_basics():
     p = poly([1, 0, 2, 0])  # 1 + 2z^2, trailing zero trimmed
     assert p == (F(1), F(0), F(2))

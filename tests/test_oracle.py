@@ -4,10 +4,12 @@ from math import factorial
 
 import pytest
 
+import capgame.oracle
 from capgame.errors import PreconditionError
-from capgame.exact import poly, poly_deg
+from capgame.exact import nullspace, poly, poly_deg, poly_reverse, poly_shift
 from capgame.formal import INFINITY, LocalSeries, MarkedPoint, expand_rational_at_point
 from capgame.oracle import (
+    OracleReport,
     RationalFunction,
     certify_rationality,
     hankel_profile,
@@ -230,3 +232,145 @@ def test_certify_truncated_exp_not_found():
     assert rep.status == "not_found"
     assert rep.function is None
     assert rep.degree_cap == 4  # (11 - 2) // 2
+
+
+# --- reference: one nullspace per degree -------------------------------------
+
+
+def reference_multipoint(jets, d, points):
+    """The degree-d solve of the earlier oracle: rows in the monomial basis
+    (homogenized at infinity), one exact nullspace, every kernel vector
+    verified against the full jets."""
+    ncols = 2 * (d + 1)
+    rows = []
+    monomials = [tuple(F(int(k == j)) for k in range(d + 1)) for j in range(d + 1)]
+    for jet, pt in zip(jets, points):
+        coeffs = jet.coefficients
+        order = len(coeffs) - 1
+        if pt.is_infinite:
+            basis = [poly_reverse(mono, d) for mono in monomials]
+        else:
+            basis = [poly_shift(mono, pt.coordinate) for mono in monomials]
+        for r in range(order + 1):
+            row = [F(0)] * ncols
+            for k in range(d + 1):
+                row[k] = -(basis[k][r] if r < len(basis[k]) else F(0))
+                row[d + 1 + k] = sum((qc * coeffs[r - m] for m, qc in enumerate(basis[k])
+                                      if qc != 0 and 0 <= r - m <= order), F(0))
+            rows.append(row)
+    for vec in nullspace(rows, ncols):
+        den = poly(vec[d + 1:])
+        if not den:
+            continue
+        candidate = RationalFunction(poly(vec[: d + 1]), den)
+        if all(_matches(candidate, pt, j) for j, pt in zip(jets, points)):
+            return candidate
+    if all(all(c == 0 for c in j.coefficients) for j in jets):
+        return RationalFunction((), (F(1),))
+    return None
+
+
+def _matches(f, pt, jet):
+    try:
+        return f.jet(pt, jet.order).coefficients == jet.coefficients
+    except PreconditionError:
+        return False
+
+
+def _has_pole(f, pt):
+    try:
+        f.jet(pt, 0)
+    except PreconditionError:
+        return True
+    return False
+
+
+def reference_certify(jets, points, degree_bound=None):
+    """The earlier degree scan: d = 0, 1, ... up to the cap."""
+    cap = (sum(j.order + 1 for j in jets) - 2) // 2
+    if degree_bound is not None:
+        cap = min(cap, degree_bound)
+    orders = {j.point: j.order for j in jets}
+    for d in range(cap + 1):
+        found = reference_multipoint(jets, d, points)
+        if found is not None:
+            return OracleReport("rational", found, orders, cap)
+    return OracleReport("not_found", None, orders, cap)
+
+
+# small integers are marked often, so the point infinity moves to is not 0
+POINT_POOL = [F(0), F(1), F(2), F(-1), F(1, 2), F(-2, 3), F(3)]
+
+
+def random_oracle_case(rng):
+    """Jets at 1-3 points (infinity marked in about half) of a random
+    function, of the same jets with one coefficient perturbed (often the
+    last, past the first 2*cap + 2 conditions), or of zero; with a
+    degree_bound below or at the data cap in half the cases."""
+    kind = rng.choice(["rational", "perturbed", "perturbed_last", "zero"])
+    f = random_rational_function(rng, max_degree=3)
+    if kind == "zero":
+        f = RationalFunction((), (1,))
+    npts = rng.randint(1, 3)
+    candidates = rng.sample(POINT_POOL, len(POINT_POOL))
+    if rng.random() < 0.5:
+        candidates.insert(rng.randint(0, npts - 1), INFINITY)
+    coords = [c for c in candidates if not _has_pole(f, MarkedPoint(0, c))][:npts]
+    points = [MarkedPoint(i, c) for i, c in enumerate(coords)]
+    total = rng.randint(len(points), 2 * f.degree + 4)
+    cuts = sorted(rng.sample(range(1, total), len(points) - 1))
+    orders = [b - a - 1 for a, b in zip([0] + cuts, cuts + [total])]
+    jets = [f.jet(pt, m) for pt, m in zip(points, orders)]
+    if kind.startswith("perturbed"):
+        i = len(jets) - 1 if kind == "perturbed_last" else rng.randrange(len(jets))
+        k = jets[i].order if kind == "perturbed_last" else rng.randint(0, jets[i].order)
+        coeffs = list(jets[i].coefficients)
+        coeffs[k] += rng.choice([1, -1, F(1, 7)])
+        jets[i] = LocalSeries(jets[i].point, tuple(coeffs))
+    cap = (total - 2) // 2
+    bound = rng.choice([None, None, max(cap, 0), rng.randint(0, max(cap, 0))])
+    return jets, points, bound
+
+
+def test_certify_matches_degree_scan():
+    rng = random.Random(20231)
+    seen = set()
+    for _ in range(400):
+        jets, points, bound = random_oracle_case(rng)
+        want = reference_certify(jets, points, bound)
+        assert certify_rationality(jets, points, bound) == want
+        conditions = sum(j.order + 1 for j in jets)
+        seen.add((want.status, any(p.is_infinite for p in points),
+                  conditions > 2 * want.degree_cap + 2))
+    # every mix of answer, infinity marked, and data past the 2*cap + 2
+    # conditions the reconstruction reads was compared
+    assert len(seen) == 8
+
+
+def test_multipoint_matches_reference_every_degree():
+    rng = random.Random(20232)
+    for _ in range(120):
+        jets, points, _ = random_oracle_case(rng)
+        cap = (sum(j.order + 1 for j in jets) - 2) // 2
+        for d in range(cap + 1):
+            assert multipoint_reconstruct(jets, d, points=points) == \
+                reference_multipoint(jets, d, points)
+
+
+def test_reconstruction_reads_only_2cap_plus_2_conditions(monkeypatch):
+    # 14 points with order-5 jets and cap 1: the Euclidean run starts from
+    # a modulus of degree 4, not 84
+    degrees = []
+    real_divmod = capgame.oracle.poly_divmod
+
+    def spy(a, b):
+        degrees.append(poly_deg(a))
+        return real_divmod(a, b)
+
+    monkeypatch.setattr(capgame.oracle, "poly_divmod", spy)
+    f = RationalFunction((1, 2), (3, 1))
+    points = [MarkedPoint(i, F(i + 1)) for i in range(13)] + [MarkedPoint(13, INFINITY)]
+    jets = [f.jet(pt, 5) for pt in points]
+    rep = certify_rationality(jets, points, degree_bound=1)
+    assert rep.function == f
+    assert max(degrees) == 4
