@@ -1,10 +1,11 @@
 """Two-player zero-sum matrix games over the rationals.
 
-The value V = sup_x inf_y <x, Gy> over mixed strategies is computed by an
-exact-rational simplex with Bland's rule, so values, strategies and duality
-certificates are exact.  Floating-point entries are rationalized first by
-continued fractions (denominators up to 10**12); +infinity entries are kept
-symbolic and handled by support analysis plus a doubling finite cap.
+The value V = sup_x inf_y <x, Gy> over mixed strategies is exact, and so are
+the strategies and duality certificates.  Every finite (sub-)game is solved
+by one exact LP core, `lp.solve`.  Floating-point entries are rationalized
+first by continued fractions (denominators up to 10**12); +infinity entries
+are kept symbolic and handled by support analysis plus a doubling finite
+cap.
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence, Union
 
+from . import lp
 from .errors import ComputationError, PreconditionError
 
 INF = math.inf
@@ -138,88 +140,10 @@ def _column_payoff(rows, weights, j) -> Entry:
     return acc
 
 
-# ---------------------------------------------------------------------------
-# exact simplex (maximize c.x subject to A x <= b, x >= 0, with b >= 0)
-
-
-def _simplex_max(A, b, c):
-    """Bland-rule simplex from the slack basis; returns (value, x, duals)."""
-    m, n = len(A), len(A[0])
-    rows = []
-    for i in range(m):
-        row = [Fraction(v) for v in A[i]] + [Fraction(0)] * m + [Fraction(b[i])]
-        row[n + i] = Fraction(1)
-        rows.append(row)
-    cost = [-Fraction(v) for v in c] + [Fraction(0)] * (m + 1)
-    basis = list(range(n, n + m))
-
-    while True:
-        enter = next((j for j in range(n + m) if cost[j] < 0), None)
-        if enter is None:
-            break
-        leave = None
-        best = None
-        for i in range(m):
-            a = rows[i][enter]
-            if a > 0:
-                ratio = rows[i][-1] / a
-                if best is None or ratio < best or (ratio == best and basis[i] < basis[leave]):
-                    best, leave = ratio, i
-        if leave is None:
-            raise ComputationError("linear program is unbounded")
-        pivot = rows[leave][enter]
-        rows[leave] = [v / pivot for v in rows[leave]]
-        prow = rows[leave]
-        for i in range(m):
-            if i != leave and rows[i][enter] != 0:
-                f = rows[i][enter]
-                rows[i] = [v - f * p for v, p in zip(rows[i], prow)]
-        if cost[enter] != 0:
-            f = cost[enter]
-            cost = [v - f * p for v, p in zip(cost, prow)]
-        basis[leave] = enter
-
-    x = [Fraction(0)] * n
-    for i, var in enumerate(basis):
-        if var < n:
-            x[var] = rows[i][-1]
-    duals = [cost[n + i] for i in range(m)]
-    return cost[-1], x, duals
-
-
-def _positive_game(rows):
-    """Value and strategies for an all-positive rational matrix (may be
-    rectangular: rows for the maximizer, columns for the minimizer).
-
-    Solves max sum(w) s.t. G w <= 1, w >= 0; the optimal objective is 1/V,
-    w/|w| is the column player's strategy, and the dual prices give the row
-    player's.  All simplex identities are verified exactly before returning.
-    """
-    m, k = len(rows), len(rows[0])
-    total, w, duals = _simplex_max(rows, [Fraction(1)] * m, [Fraction(1)] * k)
-    if total <= 0:
-        raise ComputationError("positive game produced a nonpositive objective")
-    value = 1 / total
-    y = Strategy(tuple(wi * value for wi in w))
-    if sum(duals) != total:
-        raise ComputationError("simplex duality certificate failed")
-    x = Strategy(tuple(ui * value for ui in duals))
-    for j in range(k):
-        if sum(x[i] * rows[i][j] for i in range(m)) < value:
-            raise ComputationError("row-strategy certificate failed")
-    for i in range(m):
-        if sum(rows[i][j] * y[j] for j in range(k)) > value:
-            raise ComputationError("column-strategy certificate failed")
-    return value, x, y
-
-
 def _finite_game(rows):
-    """(value, x, y) for a finite rational matrix, via a positivity shift."""
-    lo = min(min(r) for r in rows)
-    shift = Fraction(1) - lo if lo < 1 else Fraction(0)
-    shifted = [[v + shift for v in r] for r in rows]
-    value, x, y = _positive_game(shifted)
-    return value - shift, x, y
+    """(value, x, y) for a finite rational matrix, rectangular allowed."""
+    value, x, y = lp.solve(rows)
+    return value, Strategy(x), Strategy(y)
 
 
 SUPPORT_ENUMERATION_LIMIT = 12  # distinct infinity row patterns
@@ -235,6 +159,8 @@ def game_value(matrix) -> GameValueResult:
     caps; because a capped value can keep creeping toward a supremum that no
     strategy attains, the doubling result is cross-checked (and the
     non-stabilized case resolved) by exact enumeration over row supports.
+    With more than SUPPORT_ENUMERATION_LIMIT infinity patterns and no stable
+    cap, ComputationError is raised rather than a guess.
     """
     rows = rationalize_matrix(matrix)
     n = len(rows)
@@ -263,10 +189,14 @@ def game_value(matrix) -> GameValueResult:
 
     exact = _support_enumeration(rows)
     if exact is None:
-        # too many infinity patterns to enumerate; trust the doubling rule
+        # too many infinity patterns to enumerate; trust the doubling rule,
+        # which proves nothing when the capped values never settled
         if stabilized is not None:
             return stabilized
-        return GameValueResult(INF, x, None, _certificate(rows, x))
+        raise ComputationError(
+            "capped game values did not stabilize and there are too many "
+            "infinity patterns for exact support enumeration"
+        )
     if stabilized is not None and stabilized.value == exact.value:
         return stabilized
     return exact

@@ -167,11 +167,13 @@ def multipoint_reconstruct(jets: Sequence[LocalSeries], d: int,
     degree <= d that agree on 2d + 1 conditions are equal, so the answer is
     unique; it is found by rational reconstruction (`_reconstruct`) and
     re-expanded at every point against the full jets, otherwise None is
-    returned.
+    returned.  Without `points`, a single jet is taken at coordinate 0.
     """
     if d < 0:
         raise PreconditionError("degree bound must be >= 0")
     if points is None:
+        if len(jets) > 1:
+            raise PreconditionError("points are required for more than one jet")
         points = [MarkedPoint(j.point, Fraction(0)) for j in jets]
     if len(points) != len(jets):
         raise PreconditionError("one marked point per jet is required")

@@ -293,7 +293,7 @@ def parse_problem(text) -> ProblemSpec:
         nonarch_places=tuple(nonarch_places),
         scalings=tuple(scalings),
         degree_bound=degree_bound,
-        infinite_tail=bool(doc.get("infinite_tail", False)),
+        infinite_tail=_optional(doc, "infinite_tail", bool, "document"),
         extra_places=tuple(extras),
     )
 

@@ -253,6 +253,12 @@ def test_cli_degree_bound_true_exit_2(tmp_path):
     _check_mutated(tmp_path, lambda d: d.update(degree_bound=True))
 
 
+def test_cli_infinite_tail_string_exit_2(tmp_path):
+    # the string "false" used to count as a declared infinite tail
+    message = _check_mutated(tmp_path, lambda d: d.update(infinite_tail="false"))
+    assert message == "field 'infinite_tail' in document has the wrong type"
+
+
 def test_cli_point_id_true_exit_2(tmp_path):
     # true used to parse as point 1 and fail later at the placement
     message = _check_mutated(tmp_path, lambda d: d["points"][0].update(id=True))

@@ -4,13 +4,15 @@ from fractions import Fraction
 
 import pytest
 
-from capgame.errors import PreconditionError
+from capgame import lp
+from capgame.errors import ComputationError, PreconditionError
 from capgame.game import (
     Strategy,
     game_value,
     minimax_check,
     payoff_floor,
     rational_strategy,
+    rationalize_entry,
 )
 
 F = Fraction
@@ -215,3 +217,158 @@ def test_rationalization_of_floats():
     # float input is rationalized before the LP, so 0.5 is exactly 1/2
     r = game_value([[0.0, 0.5], [0.5, 0.0]])
     assert r.value == F(1, 4)
+
+
+# --- crossover against the exact simplex ---------------------------------------
+
+
+def bland_game_value(monkeypatch, matrix):
+    """game_value with the crossover switched off: the Bland simplex alone."""
+    with monkeypatch.context() as m:
+        m.setattr(lp, "_crossover", lambda rows: None)
+        return game_value(matrix)
+
+
+def float_matrix(rng, m, k):
+    return [[rng.uniform(-3, 3) for _ in range(k)] for _ in range(m)]
+
+
+def rationalized(matrix):
+    return [[rationalize_entry(v) for v in row] for row in matrix]
+
+
+def test_crossover_matches_bland_on_square_games(monkeypatch):
+    rng = random.Random(61)
+    certified = 0
+    for n in range(1, 17):
+        cases = [random_matrix(rng, n, den=rng.choice((1, 6)))]
+        if n <= 12:
+            cases.append(float_matrix(rng, n, n))
+        for g in cases:
+            certified += lp._crossover(rationalized(g)) is not None
+            assert game_value(g) == bland_game_value(monkeypatch, g)
+    # all 28 seeded games are certified today; the bound only makes sure
+    # that the crossover, not the fallback, is what was compared
+    assert certified >= 20
+
+
+def test_crossover_matches_bland_on_rectangular_games():
+    rng = random.Random(67)
+    for _ in range(60):
+        m, k = rng.randint(1, 16), rng.randint(1, 16)
+        g = [[F(rng.randint(-6, 6), rng.randint(1, 4)) for _ in range(k)] for _ in range(m)]
+        cases = [g]
+        if max(m, k) <= 10:
+            cases.append(rationalized(float_matrix(rng, m, k)))
+        for rows in cases:
+            assert lp.solve(rows) == lp.solve_bland(rows)
+
+
+def test_crossover_certifies_generic_float_games():
+    # a generic game has a unique equilibrium, so the crossover must not fall back
+    rng = random.Random(71)
+    for _ in range(30):
+        m, k = rng.randint(1, 12), rng.randint(1, 12)
+        rows = rationalized(float_matrix(rng, m, k))
+        assert lp._crossover(rows) == lp.solve_bland(rows)
+
+
+DEGENERATE_GAMES = [
+    # duplicate rows in the support: x is not unique
+    [[F(0), F(1), F(9)], [F(1), F(0), F(9)], [F(0), F(1), F(9)]],
+    # duplicate columns in the support: y is not unique
+    [[F(0), F(1), F(0)], [F(1), F(0), F(1)], [F(-9), F(-9), F(-9)]],
+    # a constant matrix: every strategy is optimal
+    [[F(2), F(2)], [F(2), F(2)]],
+    # a pure saddle point tied along its row
+    [[F(1), F(1)], [F(0), F(2)]],
+    # a pure saddle point tied along its column
+    [[F(1), F(3)], [F(1), F(0)]],
+    # a column outside the support paying exactly the value
+    [[F(0), F(1), F(1, 2)], [F(1), F(0), F(1, 2)], [F(-5), F(-5), F(-5)]],
+    # a row outside the support paying exactly the value
+    [[F(0), F(1), F(5)], [F(1), F(0), F(5)], [F(1, 2), F(1, 2), F(5)]],
+]
+
+
+@pytest.mark.parametrize("g", DEGENERATE_GAMES)
+def test_crossover_falls_back_on_degenerate_games(monkeypatch, g):
+    assert lp._crossover(rationalized(g)) is None
+    assert game_value(g) == bland_game_value(monkeypatch, g)
+
+
+def test_crossover_certifies_strict_pure_saddle_point(monkeypatch):
+    g = [[F(3), F(5), F(4)], [F(1), F(0), F(2)], [F(2), F(-1), F(0)]]
+    r = game_value(g)
+    assert lp._crossover(g) is not None
+    assert r == bland_game_value(monkeypatch, g)
+    assert r.value == 3 and list(r.x_star) == [1, 0, 0] and list(r.y_star) == [1, 0, 0]
+
+
+def test_crossover_matches_bland_on_infinite_games(monkeypatch):
+    rng = random.Random(73)
+    games = [
+        [[F(1), INF], [F(2), F(0)]],
+        [[F(0), INF, F(1)], [INF, F(0), F(1)], [F(1), F(1), F(0)]],
+    ]
+    for n in range(3, 7):
+        # the shape of a divergent extra place: one +inf pair on a random game
+        g = random_matrix(rng, n)
+        i, j = rng.sample(range(n), 2)
+        g[i][j] = g[j][i] = INF
+        games.append(g)
+    for g in games:
+        assert game_value(g) == bland_game_value(monkeypatch, g)
+
+
+def count_simplex_calls(monkeypatch, matrix):
+    calls = []
+    real = lp._simplex_max
+
+    def spy(*args):
+        calls.append(1)
+        return real(*args)
+
+    with monkeypatch.context() as m:
+        m.setattr(lp, "_simplex_max", spy)
+        result = game_value(matrix)
+    return result, len(calls)
+
+
+def test_generic_game_never_enters_the_simplex(monkeypatch):
+    g = float_matrix(random.Random(79), 14, 14)
+    _, calls = count_simplex_calls(monkeypatch, g)
+    assert calls == 0
+    _, calls = count_simplex_calls(monkeypatch, DEGENERATE_GAMES[0])
+    assert calls > 0
+
+
+def test_symmetric_game_n20_certified_exactly(monkeypatch):
+    rng = random.Random(83)
+    n = 20
+    g = [[0.0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i, n):
+            g[i][j] = g[j][i] = rng.uniform(0, 3) if i == j else math.log(rng.uniform(0.1, 5))
+    r, calls = count_simplex_calls(monkeypatch, g)
+    assert calls == 0
+    rows = rationalized(g)
+    # exact optimality: x guarantees the value and y concedes no more
+    assert min(r.certificate) == r.value
+    assert max(sum(row[j] * r.y_star[j] for j in range(n)) for row in rows) == r.value
+
+
+def test_too_many_infinity_patterns_without_stable_cap_raise():
+    # the true value 1 is a supremum that no strategy attains, so the capped
+    # values never settle, and 14 infinity patterns are past the enumeration
+    # limit; this used to return value = inf although the uniform strategy
+    # already floors the value at -1199/14
+    n = 14
+    g = [[F(-100)] * n for _ in range(n)]
+    g[0] = [F(0), INF] + [F(5)] * (n - 2)
+    g[1] = [F(1), F(0)] + [F(5)] * (n - 2)
+    for i in range(2, n):
+        g[i][i] = INF
+    assert payoff_floor(g, Strategy.uniform(n)) == F(-1199, 14)
+    with pytest.raises(ComputationError, match="did not stabilize"):
+        game_value(g)

@@ -182,6 +182,15 @@ def test_multipoint_zero_jets():
     assert f == RationalFunction((), (1,))
 
 
+def test_multipoint_default_points():
+    # without points, a single jet sits at coordinate 0; two jets need points
+    f = multipoint_reconstruct([geometric(3)], 1)
+    assert f == RationalFunction((1,), (1, -2))
+    jets = [LocalSeries(0, (1, 2)), LocalSeries(1, (3, 4))]
+    with pytest.raises(PreconditionError, match="points are required"):
+        multipoint_reconstruct(jets, 1)
+
+
 def test_multipoint_insufficient_order():
     jets = [LocalSeries(0, (1, 2)), LocalSeries(1, (3,))]
     pts = [MarkedPoint(0, F(0)), MarkedPoint(1, F(1))]
