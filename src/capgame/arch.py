@@ -13,16 +13,20 @@ complex conjugation as required at a real place.  Green values are computed
 in double precision; the formulas are exact, so values are good to roughly
 machine precision and the numerical oracle in `validate_green` can check
 harmonicity, boundary vanishing and positivity independently.
+
+Each closed form is written once, over element operations: single points
+(`green`, `robin_constant`) use `math`/`cmath` on Python numbers, and only
+the grids of `validate_green` import numpy.
 """
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from types import SimpleNamespace
 from typing import Mapping, Optional, Sequence, Union
-
-import numpy as np
 
 from .errors import PreconditionError, ProblemFormatError
 from .formal import INFINITY, MarkedPoint, coordinate_str, is_infinite
@@ -205,10 +209,50 @@ class ArchDomainAssignment:
 # Green function evaluation
 
 
-def _inverse_joukowski(phi):
+def _point_abs(z) -> float:
+    try:
+        return abs(z)
+    except OverflowError:  # |z| above the largest float
+        return math.inf
+
+
+def _point_log(x: float) -> float:
+    if x > 0:
+        return math.log(x)
+    return -math.inf if x == 0 else math.nan
+
+
+def _by_zero(x: float, zero: float) -> float:
+    """x / zero in IEEE arithmetic: +-inf, or nan for 0/0 and nan/0."""
+    if x == 0 or x != x:
+        return math.nan
+    return math.copysign(math.inf, x) * math.copysign(1.0, zero)
+
+
+def _point_div(a, b):
+    try:
+        return a / b
+    except ZeroDivisionError:
+        if isinstance(a, complex) or isinstance(b, complex):
+            # numpy divides each part by |b| when b is a complex zero
+            a = complex(a)
+            return complex(_by_zero(a.real, 0.0), _by_zero(a.imag, 0.0))
+        return _by_zero(a, b)
+
+
+# Element operations the closed forms are written in.  Points use the stdlib
+# on Python numbers, with the IEEE results where the stdlib raises (log 0,
+# division by zero, |z| overflow); `validate_green` passes numpy's ufuncs to
+# the same formulas for its grids.
+_POINT = SimpleNamespace(
+    abs=_point_abs, sqrt=cmath.sqrt, log=_point_log, conj=lambda z: z.conjugate(),
+    div=_point_div,
+)
+
+
+def _inverse_joukowski(xp, phi):
     """The branch of phi + sqrt(phi^2 - 1) with modulus >= 1 off [-1, 1]."""
-    phi = np.asarray(phi, dtype=complex)
-    return phi + np.sqrt(phi - 1.0) * np.sqrt(phi + 1.0)
+    return phi + xp.sqrt(phi - 1.0) * xp.sqrt(phi + 1.0)
 
 
 def _radius_unit(radius: float) -> float:
@@ -220,54 +264,50 @@ def _radius_unit(radius: float) -> float:
     return math.ldexp(1.0, math.frexp(radius)[1])
 
 
-def _disk_green_values(center: complex, radius: float, pole: complex, z):
+def _disk_green_values(xp, center: complex, radius: float, pole: complex, z):
     unit = _radius_unit(radius)
-    center, radius, pole = center / unit, radius / unit, pole / unit
-    z = np.asarray(z, dtype=complex) / unit
-    num = np.abs(radius * radius - np.conj(pole - center) * (z - center))
-    den = radius * np.abs(z - pole)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        return np.log(num / den)
+    center, radius, pole, z = center / unit, radius / unit, pole / unit, z / unit
+    num = xp.abs(radius * radius - xp.conj(pole - center) * (z - center))
+    den = radius * xp.abs(z - pole)
+    return xp.log(xp.div(num, den))
 
 
-def _exterior_green_values(center: complex, radius: float, pole, z):
+def _exterior_green_values(xp, center: complex, radius: float, pole, z):
     # invert through the circle: m(z) = c + R^2/(z - c) maps the exterior
     # onto the disk and infinity onto the center
     unit = _radius_unit(radius)
-    center, radius = center / unit, radius / unit
-    z = np.asarray(z, dtype=complex) / unit
+    center, radius, z = center / unit, radius / unit, z / unit
     r2 = radius * radius
-    m_pole = center if pole is None else center + r2 / (complex(pole) / unit - center)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        m_z = center + r2 / (z - center)
-    return _disk_green_values(center, radius, m_pole, m_z)
+    m_pole = center if pole is None else center + _point_div(r2, pole / unit - center)
+    m_z = center + xp.div(r2, z - center)
+    return _disk_green_values(xp, center, radius, m_pole, m_z)
 
 
-def _interval_green_values(a: float, b: float, pole, z):
-    z = np.asarray(z, dtype=complex)
-    psi_z = _inverse_joukowski((2.0 * z - a - b) / (b - a))
+def _interval_green_values(xp, a: float, b: float, pole, z):
+    psi_z = _inverse_joukowski(xp, xp.div(2.0 * z - a - b, b - a))
     if pole is None:
-        with np.errstate(divide="ignore", invalid="ignore"):
-            return np.log(np.abs(psi_z))
-    psi_w = complex(_inverse_joukowski((2.0 * complex(pole) - a - b) / (b - a)))
-    with np.errstate(divide="ignore", invalid="ignore"):
-        return np.log(np.abs(psi_z * np.conj(psi_w) - 1.0) / np.abs(psi_z - psi_w))
+        return xp.log(xp.abs(psi_z))
+    psi_w = _inverse_joukowski(_POINT, _point_div(2.0 * pole - a - b, b - a))
+    return xp.log(xp.div(xp.abs(psi_z * xp.conj(psi_w) - 1.0), xp.abs(psi_z - psi_w)))
 
 
-def _component_green(comp: Component, pole, z):
-    """Vectorized Green values on one component; pole None means infinity."""
+def _component_green(xp, comp: Component, pole, z):
+    """Green values on one component, on a point or a grid as the element
+    operations xp decide; pole None means infinity."""
     if isinstance(comp, Disk):
         if pole is None:
             raise PreconditionError("a bounded disk does not contain infinity")
         return _disk_green_values(
-            float(comp.center), float(comp.radius), complex(pole), z
+            xp, float(comp.center), float(comp.radius), complex(pole), z
         )
     if isinstance(comp, ExteriorDisk):
-        return _exterior_green_values(float(comp.center), float(comp.radius), pole, z)
-    return _interval_green_values(float(comp.a), float(comp.b), pole, z)
+        return _exterior_green_values(
+            xp, float(comp.center), float(comp.radius), pole, z
+        )
+    return _interval_green_values(xp, float(comp.a), float(comp.b), pole, z)
 
 
-def _green_at_infinity(comp: Component, pole) -> float:
+def _green_at_infinity(comp: Component, pole: complex) -> float:
     """Limit of the Green function at z = infinity (finite pole)."""
     if isinstance(comp, Disk):
         raise PreconditionError("infinity is outside a bounded disk")
@@ -275,18 +315,18 @@ def _green_at_infinity(comp: Component, pole) -> float:
         # m(infinity) = center
         unit = _radius_unit(float(comp.radius))
         c, r = float(comp.center) / unit, float(comp.radius) / unit
-        m_pole = c + r**2 / (complex(pole) / unit - c)
-        return float(_disk_green_values(c, r, m_pole, np.asarray(complex(c))))
+        m_pole = c + _point_div(r * r, pole / unit - c)
+        return _disk_green_values(_POINT, c, r, m_pole, complex(c))
     a, b = float(comp.a), float(comp.b)
-    psi_w = complex(_inverse_joukowski((2.0 * complex(pole) - a - b) / (b - a)))
-    return math.log(abs(psi_w))
+    psi_w = _inverse_joukowski(_POINT, _point_div(2.0 * pole - a - b, b - a))
+    return _point_log(_point_abs(psi_w))
 
 
 def _closure_contains_complex(comp: Component, z: complex, tol: float = 1e-9) -> bool:
     if isinstance(comp, Disk):
-        return abs(z - complex(comp.center)) <= float(comp.radius) * (1 + tol)
+        return _point_abs(z - complex(comp.center)) <= float(comp.radius) * (1 + tol)
     if isinstance(comp, ExteriorDisk):
-        return abs(z - complex(comp.center)) >= float(comp.radius) * (1 - tol)
+        return _point_abs(z - complex(comp.center)) >= float(comp.radius) * (1 - tol)
     return True  # the closure of an interval complement is all of P^1
 
 
@@ -313,7 +353,7 @@ def green(domain: ArchDomain, pole, z) -> float:
     if pole_arg is not None and zc == pole_arg:
         raise PreconditionError("evaluation point equals the pole")
     if _closure_contains_complex(comp, zc):
-        val = float(_component_green(comp, pole_arg, zc))
+        val = _component_green(_POINT, comp, pole_arg, zc)
         if val < -1e-9:
             raise PreconditionError("evaluation point is outside the domain closure")
         return max(val, 0.0)
@@ -363,7 +403,7 @@ def robin_constant(domain: ArchDomain, pole, convention: Optional[str] = None) -
         # capacity of [a, b] is (b - a)/4
         return math.log(4.0 / (b - a))
     phi = (2.0 * float(Fraction(pole)) - a - b) / (b - a)
-    psi = abs(complex(_inverse_joukowski(phi)))
+    psi = abs(_inverse_joukowski(_POINT, complex(phi)))
     dpsi = (2.0 / (b - a)) * psi / math.sqrt(phi * phi - 1.0)
     return math.log((psi * psi - 1.0) / dpsi)
 
@@ -446,8 +486,19 @@ def _component_box(comp: Component):
     return (a - pad, b + pad), (-pad - 1.0, pad + 1.0)
 
 
+def _grid_green(comp: Component, pole, zs):
+    """Green values of one component on a numpy array of points."""
+    import numpy as np
+
+    grid = SimpleNamespace(abs=np.abs, sqrt=np.sqrt, log=np.log, conj=np.conj, div=np.divide)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return _component_green(grid, comp, pole, zs)
+
+
 def _interior_mask(comp: Component, zz, h: float):
     """Points whose full 5-point stencil stays inside the component."""
+    import numpy as np
+
     if isinstance(comp, Disk):
         return np.abs(zz - complex(comp.center)) <= float(comp.radius) - 2 * h
     if isinstance(comp, ExteriorDisk):
@@ -460,6 +511,8 @@ def _interior_mask(comp: Component, zz, h: float):
 
 
 def _boundary_samples(comp: Component, count: int = 720):
+    import numpy as np
+
     if isinstance(comp, (Disk, ExteriorDisk)):
         theta = np.linspace(0.0, 2.0 * math.pi, count, endpoint=False)
         return complex(comp.center) + float(comp.radius) * np.exp(1j * theta)
@@ -481,6 +534,8 @@ def validate_green(
     smallest g over the interior samples.  Always returns a report; fields
     are None when the grid yields no usable samples.
     """
+    import numpy as np
+
     if h <= 0:
         raise PreconditionError("grid step must be positive")
     pole_idx = locate_component(domain, pole)
@@ -496,7 +551,7 @@ def validate_green(
     ys = np.arange(y0, y1 + h / 2, h)
     if len(xs) >= 5 and len(ys) >= 5:
         zz = xs[None, :] + 1j * ys[:, None]
-        gg = np.asarray(_component_green(comp, pole_arg, zz), dtype=float)
+        gg = _grid_green(comp, pole_arg, zz)
         mask = _interior_mask(comp, zz, h)
         if pole_arg is not None:
             mask &= np.abs(zz - pole_arg) >= pole_clearance
@@ -522,7 +577,7 @@ def validate_green(
     for c in comps:
         samples = _boundary_samples(c)
         if c is comp:
-            bnd.append(np.abs(_component_green(comp, pole_arg, samples)))
+            bnd.append(np.abs(_grid_green(comp, pole_arg, samples)))
         else:
             bnd.append(np.zeros(len(samples)))  # other components: g is 0 there
     if bnd:

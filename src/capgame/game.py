@@ -120,24 +120,24 @@ def payoff_floor(matrix, x) -> Entry:
     weights = tuple(Fraction(v) for v in x)
     if len(weights) != len(rows):
         raise PreconditionError("strategy length does not match the matrix")
-    floor: Optional[Entry] = None
+    return min(_column_payoffs(rows, weights))
+
+
+def _column_payoffs(rows, weights):
+    """Yield sum_i w_i G_ij for each column j, with the convention 0*inf = 0.
+
+    Each sum is taken on integers over one common denominator and reduced
+    once, instead of one Fraction addition (a gcd on big numbers) per term.
+    """
+    live = [i for i, w in enumerate(weights) if w]
+    w_ints, w_scale = lp._scaled([Fraction(weights[i]) for i in live])
     for j in range(len(rows)):
-        col = _column_payoff(rows, weights, j)
-        if floor is None or col < floor:
-            floor = col
-    return floor
-
-
-def _column_payoff(rows, weights, j) -> Entry:
-    acc = Fraction(0)
-    for i, w in enumerate(weights):
-        if w == 0:
+        col = [rows[i][j] for i in live]
+        if INF in col:
+            yield INF
             continue
-        v = rows[i][j]
-        if v == INF:
-            return INF
-        acc += w * v
-    return acc
+        g_ints, g_scale = lp._scaled(col)
+        yield Fraction(sum(a * b for a, b in zip(w_ints, g_ints)), w_scale * g_scale)
 
 
 def _finite_game(rows):
@@ -272,7 +272,7 @@ def _blend_to_floor(rows, support, x_sub, value) -> Strategy:
 
 
 def _certificate(rows, x: Strategy) -> tuple:
-    return tuple(_column_payoff(rows, x.weights, j) for j in range(len(rows)))
+    return tuple(_column_payoffs(rows, x.weights))
 
 
 def minimax_check(matrix) -> bool:
@@ -322,11 +322,7 @@ def rational_strategy(matrix, v_prime, result: Optional[GameValueResult] = None)
 
 
 def _beats(rows, weights, v_prime: Fraction) -> bool:
-    for j in range(len(rows)):
-        col = _column_payoff(rows, weights, j)
-        if col != INF and col <= v_prime:
-            return False
-    return True
+    return all(col == INF or col > v_prime for col in _column_payoffs(rows, weights))
 
 
 def _simplify_strategy(rows, weights, v_prime: Fraction) -> Strategy:

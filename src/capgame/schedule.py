@@ -25,7 +25,7 @@ from itertools import accumulate
 from typing import Optional, Sequence
 
 from .errors import PreconditionError
-from .game import INF, Strategy, rationalize_matrix, _column_payoff
+from .game import INF, Strategy, rationalize_matrix, _column_payoffs
 
 
 @dataclass(frozen=True)
@@ -200,9 +200,7 @@ def weighted_floor(schedule: Schedule, matrix, v_prime) -> WeightedFloorReport:
     if len(rows) != m:
         raise PreconditionError("matrix size does not match the schedule")
     v_prime = Fraction(v_prime)
-    precondition_ok = all(
-        _column_payoff(rows, schedule.a, j) > v_prime for j in range(m)
-    )
+    precondition_ok = all(col > v_prime for col in _column_payoffs(rows, schedule.a))
 
     d, n = _scaled_weights(schedule.a)
     idx = _one_period(schedule, d, n)

@@ -10,6 +10,7 @@ from capgame.arch import (
     DisjointUnion,
     ExteriorDisk,
     IntervalComplement,
+    _grid_green,
     arch_matrix,
     green,
     locate_component,
@@ -196,6 +197,9 @@ def test_union_cross_component_zero():
     u = DisjointUnion((Disk(0, 1), Disk(3, 1)))
     assert green(u, F(0), 3 + 0j) == 0.0
     assert green(u, F(0), 0.5 + 0j) > 0
+    u = DisjointUnion((Disk(0, 1), Disk(3, 1), ExteriorDisk(1, 10)))
+    assert green(u, F(1, 5), INFINITY) == 0.0
+    assert green(u, INFINITY, 0.3j) == 0.0
 
 
 def test_union_disjointness_enforced():
@@ -281,3 +285,128 @@ def test_validate_green_exterior_and_offcenter():
     assert rep.laplacian_residual < 1e-4
     rep = validate_green(Disk(0, 2), F(1, 2), 0.01)
     assert rep.laplacian_residual < 1e-4
+
+
+# --- accuracy against 50-digit evaluations of the same closed forms ----------
+
+
+def mp_closed_forms():
+    """(green, robin) of one component at 50 digits; None means infinity."""
+    mpmath = pytest.importorskip("mpmath")
+
+    def num(x):
+        if isinstance(x, Fraction):
+            return mpmath.mpf(x.numerator) / x.denominator
+        return mpmath.mpc(x.real, x.imag)  # a float or complex is exact in mpc
+
+    def psi(phi):
+        return phi + mpmath.sqrt(phi - 1) * mpmath.sqrt(phi + 1)
+
+    def green(comp, pole, z):
+        with mpmath.workdps(50):
+            if isinstance(comp, IntervalComplement):
+                a, b = num(comp.a), num(comp.b)
+                phi = lambda x: (2 * num(x) - a - b) / (b - a)
+                if pole is None:
+                    return mpmath.log(abs(psi(phi(z))))
+                pw = psi(phi(pole))
+                if z is None:
+                    return mpmath.log(abs(pw))
+                pz = psi(phi(z))
+                return mpmath.log(abs(pz * mpmath.conj(pw) - 1) / abs(pz - pw))
+            c, r = num(comp.center), num(comp.radius)
+            w, x = (None if pole is None else num(pole)), (None if z is None else num(z))
+            if isinstance(comp, ExteriorDisk):
+                # m(x) = c + R^2/(x - c) maps the exterior onto the disk
+                w = c if w is None else c + r * r / (w - c)
+                x = c if x is None else c + r * r / (x - c)
+            return mpmath.log(abs(r * r - mpmath.conj(w - c) * (x - c)) / (r * abs(x - w)))
+
+    def robin(comp, pole):
+        with mpmath.workdps(50):
+            if isinstance(comp, IntervalComplement):
+                a, b = num(comp.a), num(comp.b)
+                if pole is None:
+                    return mpmath.log(4 / (b - a))
+                phi = (2 * num(pole) - a - b) / (b - a)
+                p = abs(psi(phi))
+                return mpmath.log((p * p - 1) / (2 / (b - a) * p / mpmath.sqrt(phi * phi - 1)))
+            c, r = num(comp.center), num(comp.radius)
+            if pole is None:
+                return -mpmath.log(r)
+            d2 = (num(pole) - c) ** 2
+            return mpmath.log(abs(r * r - d2) / r)
+
+    return green, robin
+
+
+def polar(rng, center, lo, hi):
+    rad, ang = rng.uniform(lo, hi), rng.uniform(0, 2 * math.pi)
+    return complex(center) + rad * complex(math.cos(ang), math.sin(ang))
+
+
+def accuracy_cases(rng):
+    """(domain, component, pole, points) with poles and points well inside
+    the pole's component and away from its boundary and the pole."""
+    cases = []
+    for _ in range(6):
+        c, r = F(rng.randint(-8, 8), rng.randint(1, 4)), F(rng.randint(10, 40), 10)
+        disk = Disk(c, r)
+        pole = c + F(rng.randint(-60, 60), 100) * r
+        pts = [polar(rng, c, 0, 0.8 * float(r)) for _ in range(8)]
+        cases.append((disk, disk, pole, pts))
+
+        ext = ExteriorDisk(c, r)
+        pts = [polar(rng, c, 1.3 * float(r), 6 * float(r)) for _ in range(8)]
+        pole = c + F(rng.choice((-1, 1)) * rng.randint(130, 400), 100) * r
+        cases.append((ext, ext, pole, pts + [INFINITY]))
+        cases.append((ext, ext, INFINITY, pts))
+
+        a = F(rng.randint(-8, 2), rng.randint(1, 3))
+        b = a + F(rng.randint(5, 40), 10)
+        cut = IntervalComplement(a, b)
+        length = float(b - a)
+        pts = [
+            complex(rng.uniform(float(a) - length, float(b) + length),
+                    rng.choice((-1, 1)) * rng.uniform(0.3, 3) * length)
+            for _ in range(8)
+        ]
+        gap = F(rng.randint(3, 30), 10) * (b - a)
+        cases.append((cut, cut, rng.choice((a - gap, b + gap)), pts + [INFINITY]))
+        cases.append((cut, cut, INFINITY, pts))
+
+    union = DisjointUnion((Disk(0, 1), Disk(3, 1), ExteriorDisk(1, 10)))
+    inner = [polar(rng, 0, 0, 0.8) for _ in range(4)]
+    outer = [polar(rng, 1, 13, 60) for _ in range(4)]
+    cases.append((union, union.components[0], F(1, 5), inner))
+    cases.append((union, union.components[2], F(-15), outer + [INFINITY]))
+    cases.append((union, union.components[2], INFINITY, outer))
+    return cases
+
+
+def rel_err(got, ref):
+    return abs(got - ref) / max(abs(ref), 0.01)  # a Robin constant may be 0
+
+
+def test_green_and_robin_match_mpmath():
+    mp_green, mp_robin = mp_closed_forms()
+    rng = random.Random(2023)
+    worst = 0.0
+    for domain, comp, pole, pts in accuracy_cases(rng):
+        p = None if pole == INFINITY else pole
+        worst = max(worst, rel_err(robin_constant(domain, pole), mp_robin(comp, p)))
+        for z in pts:
+            ref = mp_green(comp, p, None if z == INFINITY else z)
+            worst = max(worst, rel_err(green(domain, pole, z), ref))
+    assert worst < 1e-13
+
+
+def test_grid_path_matches_point_path():
+    np = pytest.importorskip("numpy")
+    rng = random.Random(2023)
+    for domain, comp, pole, pts in accuracy_cases(rng):
+        finite = [z for z in pts if z != INFINITY]
+        p = None if pole == INFINITY else complex(pole)
+        grid = _grid_green(comp, p, np.array(finite, dtype=complex))
+        for z, g in zip(finite, grid):
+            assert rel_err(float(g), green(domain, pole, z)) < 1e-13

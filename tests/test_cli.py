@@ -325,3 +325,35 @@ def test_cli_unfactorable_scaling_exit_4(tmp_path):
     assert res.returncode == 4
     assert json.loads(res.stdout)["error"]["kind"] == "precondition"
     assert "Traceback" not in res.stderr
+
+
+NO_NUMPY_SCRIPT = """
+import contextlib, io, sys
+from pathlib import Path
+
+import capgame
+import capgame.cli
+
+assert "numpy" not in sys.modules, "import capgame"
+for path in sorted(Path("problems").glob("*.json")):
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        assert capgame.cli.main(["check", str(path)]) == 0, path
+    assert "numpy" not in sys.modules, f"check {path}"
+with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+    assert capgame.cli.main(
+        ["greens", "problems/two_point_interval.json", "--pole", "0", "--at", "1,2"]
+    ) == 0
+assert "numpy" not in sys.modules, "greens"
+
+from capgame.arch import Disk, validate_green
+report = validate_green(Disk(0, 2), 0, 0.1)
+assert report.interior_count > 0 and report.boundary_residual < 1e-9
+assert "numpy" in sys.modules, "validate_green"
+"""
+
+
+def test_check_and_greens_leave_numpy_unloaded():
+    res = subprocess.run(
+        [sys.executable, "-c", NO_NUMPY_SCRIPT], capture_output=True, text=True, cwd=ROOT
+    )
+    assert res.returncode == 0, res.stderr

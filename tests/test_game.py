@@ -8,6 +8,7 @@ from capgame import lp
 from capgame.errors import ComputationError, PreconditionError
 from capgame.game import (
     Strategy,
+    _column_payoffs,
     game_value,
     minimax_check,
     payoff_floor,
@@ -372,3 +373,34 @@ def test_too_many_infinity_patterns_without_stable_cap_raise():
     assert payoff_floor(g, Strategy.uniform(n)) == F(-1199, 14)
     with pytest.raises(ComputationError, match="did not stabilize"):
         game_value(g)
+
+
+# --- column payoffs on integers ------------------------------------------------
+
+
+def running_sum_payoff(rows, weights, j):
+    """Column payoff as one Fraction addition per term (the former kernel)."""
+    acc = F(0)
+    for i, w in enumerate(weights):
+        if w == 0:
+            continue
+        if rows[i][j] == INF:
+            return INF
+        acc += w * rows[i][j]
+    return acc
+
+
+def test_column_payoffs_equal_the_running_sum():
+    rng = random.Random(97)
+    for trial in range(60):
+        n = rng.randint(1, 12)
+        rows = rationalized(float_matrix(rng, n, n)) if trial % 2 else random_matrix(rng, n)
+        for _ in range(rng.randint(0, n)):
+            rows[rng.randrange(n)][rng.randrange(n)] = INF
+        raw = [F(rng.randint(0, 3), rng.randint(1, 10**rng.randint(1, 12))) for _ in range(n)]
+        weights = [w / sum(raw) for w in raw] if sum(raw) else raw  # zeros included
+        got = list(_column_payoffs(rows, weights))
+        want = [running_sum_payoff(rows, weights, j) for j in range(n)]
+        assert got == want
+        assert [type(v) for v in got] == [type(v) for v in want]
+        assert payoff_floor(rows, weights) == min(want)

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from capgame.errors import PreconditionError
-from capgame.game import _column_payoff, rationalize_matrix
+from capgame.game import _column_payoffs, rationalize_matrix
 from capgame.schedule import (
     BoundsReport,
     Schedule,
@@ -189,7 +189,7 @@ def _ref_floor(schedule, matrix, v_prime):
     rows = rationalize_matrix(matrix)
     m = schedule.size
     v_prime = F(v_prime)
-    precondition_ok = all(_column_payoff(rows, schedule.a, j) > v_prime for j in range(m))
+    precondition_ok = all(col > v_prime for col in _column_payoffs(rows, schedule.a))
     pos = {pid: i for i, pid in enumerate(schedule.ids)}
     sums = [F(0)] * m
     c, worst_k, worst_j = F(0), 0, 0
