@@ -380,7 +380,19 @@ def robin_constant(domain: ArchDomain, pole, convention: Optional[str] = None) -
         )
     idx = locate_component(domain, pole)
     comp = components_of(domain)[idx]
+    try:
+        return _component_robin(comp, pole)
+    except (ZeroDivisionError, ValueError) as exc:
+        # a division by zero or a log/sqrt outside its domain: exact data
+        # that differ (a radius and 0, a pole and the center or an endpoint,
+        # the two endpoints) became equal when rounded to floats
+        raise PreconditionError(
+            f"Robin constant at {coordinate_str(pole)} is not computable in "
+            f"floating point: the domain and the pole collide after rounding ({exc})"
+        ) from exc
 
+
+def _component_robin(comp: Component, pole) -> float:
     if isinstance(comp, Disk):
         unit = _radius_unit(float(comp.radius))
         w = (float(comp.center) - float(Fraction(pole))) / unit

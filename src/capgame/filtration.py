@@ -107,15 +107,3 @@ def quadratic_bound_check(profile: FiltrationProfile) -> bool:
     if any(r[k] < max(r[0] - k, 0) for k in range(len(r))):
         raise PreconditionError("profile drops faster than one rank per step")
     return sum(r) * 2 >= r[0] * (r[0] + 1)
-
-
-def growth_report(max_N: int = 50) -> list:
-    """Total filtration mass against the triangular budget for N <= max_N.
-
-    Both sides grow like N^2 on the line; the report lists
-    (N, sum of ranks, N+1 choose 2 + N+1) for the generic profile."""
-    out = []
-    for N in range(max_N + 1):
-        total = sum(max(N + 1 - k, 0) for k in range(N + 2))
-        out.append((N, total, (N + 1) * (N + 2) // 2))
-    return out

@@ -4,8 +4,9 @@ The value V = sup_x inf_y <x, Gy> over mixed strategies is exact, and so are
 the strategies and duality certificates.  Every finite (sub-)game is solved
 by one exact LP core, `lp.solve`.  Floating-point entries are rationalized
 first by continued fractions (denominators up to 10**12); +infinity entries
-are kept symbolic and handled by support analysis plus a doubling finite
-cap.
+are kept symbolic.  A game with +infinity entries has the value of its
+sub-game on the infinity-free columns (see `game_value`), so it costs one
+LP like a finite game.
 """
 
 from __future__ import annotations
@@ -22,7 +23,6 @@ INF = math.inf
 
 RATIONALIZE_DENOMINATOR = 10**12
 MARGIN_EPS = 1e-6
-MAX_CAP_DOUBLINGS = 60
 
 Entry = Union[Fraction, float]
 
@@ -140,139 +140,57 @@ def _column_payoffs(rows, weights):
         yield Fraction(sum(a * b for a, b in zip(w_ints, g_ints)), w_scale * g_scale)
 
 
-def _finite_game(rows):
-    """(value, x, y) for a finite rational matrix, rectangular allowed."""
-    value, x, y = lp.solve(rows)
-    return value, Strategy(x), Strategy(y)
-
-
-SUPPORT_ENUMERATION_LIMIT = 12  # distinct infinity row patterns
-
-
 def game_value(matrix) -> GameValueResult:
     """Game value with optimal strategies and an exact certificate.
 
-    For finite matrices this is the exact LP value.  If every column holds a
-    +infinity entry, a fully mixed row strategy certifies value +infinity.
-    Otherwise infinite entries are replaced by a finite cap doubling from
-    1 + n*max|finite entry| until the value agrees across two consecutive
-    caps; because a capped value can keep creeping toward a supremum that no
-    strategy attains, the doubling result is cross-checked (and the
-    non-stabilized case resolved) by exact enumeration over row supports.
-    With more than SUPPORT_ENUMERATION_LIMIT infinity patterns and no stable
-    cap, ComputationError is raised rather than a guess.
+    With C the columns free of +infinity, V = val(G[:, C]), and V = +infinity
+    exactly when C is empty (the uniform strategy then certifies it).  Proof:
+    every strategy's floor is at most its payoff on C, hence at most
+    val(G[:, C]); and (1 - eps) x + eps u, x optimal on C and u uniform,
+    sends every other column to +infinity, so its floor tends to val(G[:, C]).
+
+    One exact LP on all rows times C gives V, x and y; y padded with zeros
+    makes every row pay at most V.  If x's exact floor on the whole matrix
+    falls short of V (a supremum no strategy attains), the blend above with
+    the largest admissible eps comes within 1e-9 of V.  A finite matrix takes
+    the same path with C = all columns.
     """
     rows = rationalize_matrix(matrix)
     n = len(rows)
+    cols = [j for j in range(n) if all(r[j] != INF for r in rows)]
+    if not cols:
+        bary = Strategy.uniform(n)
+        return GameValueResult(INF, bary, None, tuple(_column_payoffs(rows, bary.weights)))
 
-    has_inf = any(v == INF for r in rows for v in r)
-    if not has_inf:
-        value, x, y = _finite_game(rows)
-        return GameValueResult(value, x, y, _certificate(rows, x))
-
-    bary = Strategy.uniform(n)
-    if payoff_floor(rows, bary) == INF:
-        return GameValueResult(INF, bary, None, _certificate(rows, bary))
-
-    finite_vals = [abs(v) for r in rows for v in r if v != INF]
-    cap = Fraction(1) + n * (max(finite_vals) if finite_vals else Fraction(0))
-    prev = None
-    stabilized = None
-    for _ in range(MAX_CAP_DOUBLINGS + 1):
-        capped = [[cap if v == INF else v for v in r] for r in rows]
-        value, x, y = _finite_game(capped)
-        if prev is not None and value == prev:
-            stabilized = GameValueResult(value, x, y, _certificate(rows, x))
-            break
-        prev = value
-        cap *= 2
-
-    exact = _support_enumeration(rows)
-    if exact is None:
-        # too many infinity patterns to enumerate; trust the doubling rule,
-        # which proves nothing when the capped values never settled
-        if stabilized is not None:
-            return stabilized
-        raise ComputationError(
-            "capped game values did not stabilize and there are too many "
-            "infinity patterns for exact support enumeration"
-        )
-    if stabilized is not None and stabilized.value == exact.value:
-        return stabilized
-    return exact
-
-
-def _support_enumeration(rows) -> Optional[GameValueResult]:
-    """Exact sup-inf value of a matrix with +infinity entries.
-
-    For a row support S, every column meeting an infinity in S pays out
-    +infinity against a fully mixed strategy on S, so the floor reduces to
-    the finite game on S times the surviving columns; the overall value is
-    the maximum over supports.  When the maximum is a supremum that no
-    strategy attains, the returned maximizer is an exact blend whose floor
-    sits within 1e-9 of the value (verified exactly).
-    """
-    n = len(rows)
-    pattern = [frozenset(j for j in range(n) if rows[i][j] == INF) for i in range(n)]
-    distinct = sorted(set(pattern), key=sorted)
-    if len(distinct) > SUPPORT_ENUMERATION_LIMIT:
-        return None
-
-    # A support S only matters through the columns it blocks; closing S up to
-    # all rows finite on the surviving columns never lowers the sub-value, so
-    # it suffices to enumerate unions of the distinct infinity patterns.
-    candidates: dict = {}
-    for mask in range(1 << len(distinct)):
-        blocked: frozenset = frozenset()
-        for t in range(len(distinct)):
-            if mask >> t & 1:
-                blocked |= distinct[t]
-        support = tuple(i for i in range(n) if pattern[i] <= blocked)
-        if not support:
-            continue
-        effective: frozenset = frozenset()
-        for i in support:
-            effective |= pattern[i]
-        cols = tuple(j for j in range(n) if j not in effective)
-        candidates[(support, cols)] = None
-
-    best = None
-    for support, cols in candidates:
-        sub = [[rows[i][j] for j in cols] for i in support]
-        value, x_sub, y_sub = _finite_game(sub)
-        if best is None or value > best[0]:
-            best = (value, support, cols, x_sub, y_sub)
-    value, support, cols, x_sub, y_sub = best
-
+    value, x, y_sub = lp.solve([[r[j] for j in cols] for r in rows])
     y = [Fraction(0)] * n
     for j, w in zip(cols, y_sub):
         y[j] = w
-    x = _blend_to_floor(rows, support, x_sub, value)
-    return GameValueResult(value, x, Strategy(tuple(y)), _certificate(rows, x))
+    certificate = tuple(_column_payoffs(rows, x))
+    if min(certificate) < value:
+        x = _blend_to_floor(rows, x, certificate, value)
+        certificate = tuple(_column_payoffs(rows, x))
+    return GameValueResult(value, Strategy(x), Strategy(tuple(y)), certificate)
 
 
-def _blend_to_floor(rows, support, x_sub, value) -> Strategy:
-    """Mix the sub-game maximizer with the uniform strategy on its support
-    until the floor on the true matrix is within 1e-9 of the value."""
+def _blend_to_floor(rows, x, payoffs, value) -> tuple:
+    """(1 - eps) x + eps u, u uniform, for the largest eps = 2**-k <= 1/2
+    whose floor is within 1e-9 of the value.
+
+    A column with a +infinity entry pays +infinity for every eps > 0.  A
+    column j with x-payoff a_j >= V and u-payoff b_j < a_j pays at least
+    V - 1e-9 exactly when eps <= (a_j - V + 1e-9) / (a_j - b_j).
+    """
     n = len(rows)
     slack = Fraction(1, 10**9)
-    unif = Fraction(1, len(support))
-    eps = Fraction(1, 2)
-    for _ in range(400):
-        x = [Fraction(0)] * n
-        for i, w in zip(support, x_sub):
-            x[i] += (1 - eps) * w
-        for i in support:
-            x[i] += eps * unif
-        floor = payoff_floor(rows, x)
-        if floor == INF or floor >= value - slack:
-            return Strategy(tuple(x))
-        eps /= 2
-    raise ComputationError("failed to approach the game value from below")
-
-
-def _certificate(rows, x: Strategy) -> tuple:
-    return tuple(_column_payoffs(rows, x.weights))
+    limit = Fraction(1, 2)
+    for a, b in zip(payoffs, _column_payoffs(rows, (Fraction(1, n),) * n)):
+        if b != INF and a > b:
+            limit = min(limit, (a - value + slack) / (a - b))
+    # the least k with 2**k >= 1/limit
+    k = (math.ceil(1 / limit) - 1).bit_length()
+    eps = Fraction(1, 2**k)
+    return tuple((1 - eps) * w + eps / n for w in x)
 
 
 def minimax_check(matrix) -> bool:
@@ -286,9 +204,9 @@ def minimax_check(matrix) -> bool:
     if any(v == INF for r in rows for v in r):
         raise PreconditionError("minimax equality check needs a finite matrix")
     n = len(rows)
-    inf_sup, _, _ = _finite_game(rows)
+    inf_sup = lp.solve(rows)[0]
     swapped = [[-rows[j][i] for j in range(n)] for i in range(n)]
-    sup_inf = -_finite_game(swapped)[0]
+    sup_inf = -lp.solve(swapped)[0]
     return inf_sup == sup_inf
 
 

@@ -112,8 +112,7 @@ def solve(rows):
 # crossover: float supports, one exact solve, a uniqueness certificate
 
 # A wrong float guess costs only the fallback, never a wrong answer, so the
-# tolerance is tiny: pivots on finite entries that a large cap (up to ~2**60
-# times the finite ones, see `game.game_value`) scaled down stay eligible.
+# tolerance is tiny: a tiny pivot is still tried rather than skipped.
 FLOAT_TOL = 1e-30
 
 

@@ -8,7 +8,6 @@ be supplied explicitly.  Sizes are input data or presets, never computed.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Mapping, Optional, Sequence
@@ -96,10 +95,6 @@ class PrimeMatrix:
     def size(self) -> int:
         return len(self.coeffs)
 
-    def to_floats(self) -> tuple:
-        logp = math.log(self.p)
-        return tuple(tuple(float(c) * logp for c in row) for row in self.coeffs)
-
 
 def nonarch_matrix(
     place: NonArchPlace,
@@ -141,9 +136,6 @@ class AnalyticityReport:
 
     totals: dict  # point id -> {prime: coefficient}
     verdict: bool
-
-    def total_log_size(self, point_id: int) -> float:
-        return sum(float(c) * math.log(p) for p, c in self.totals.get(point_id, {}).items())
 
     def to_report(self) -> dict:
         return {

@@ -302,6 +302,39 @@ def test_cli_disk_radius_1e300(tmp_path, npoints):
     assert report["oracle"]["status"] == "rational"
 
 
+def _collide_interval_endpoints(doc):
+    doc["arch_places"][0]["domain"]["b"] = "1000000000000000000000000000001/1000000000000000000000000000000"
+
+
+def _underflow_disk_radius(doc):
+    doc["arch_places"][0]["domain"]["radius"] = "1e-400"
+
+
+def _exterior_pole_at_center(doc):
+    doc["points"][0]["coordinate"] = "1000000000000000000000000000001/1000000000000000000000000000000"
+    doc["arch_places"][0]["domain"] = {"kind": "exterior_disk", "center": "1", "radius": "1e-31"}
+
+
+@pytest.mark.parametrize("problem, mutate", [
+    (TWO_POINT, _collide_interval_endpoints),  # ZeroDivisionError
+    (BOREL_DWORK, _underflow_disk_radius),  # ZeroDivisionError
+    (BOREL_DWORK, _exterior_pole_at_center),  # ValueError: math domain error
+], ids=["interval_endpoints", "disk_radius_1e-400", "exterior_pole_at_center"])
+def test_cli_float_collision_in_robin_constant_exit_4(tmp_path, problem, mutate):
+    # exact data that differ but round to the same float used to end in a
+    # traceback from the Robin constant's float formulas
+    doc = json.loads(problem.read_text())
+    mutate(doc)
+    path = tmp_path / "collided.json"
+    path.write_text(json.dumps(doc))
+    res = run_cli("check", str(path))
+    assert res.returncode == 4, res.stderr
+    error = json.loads(res.stdout)["error"]
+    assert error["kind"] == "precondition"
+    assert "collide after rounding" in error["message"]
+    assert "Traceback" not in res.stderr
+
+
 # --- bounded factoring of scalings -------------------------------------------
 
 

@@ -7,7 +7,6 @@ from capgame.filtration import (
     FiltrationProfile,
     abel_check,
     filtration_ranks,
-    growth_report,
     quadratic_bound_check,
     rank_oracle,
 )
@@ -115,10 +114,3 @@ def test_quadratic_bound():
     # attains the triangular bound exactly
     prof = FiltrationProfile(4, (5, 4, 3, 2, 1, 0))
     assert sum(prof.ranks) * 2 == prof.ranks[0] * (prof.ranks[0] + 1)
-
-
-def test_growth_report_quadratic():
-    rep = growth_report(50)
-    assert rep[0] == (0, 1, 1)
-    n, total, budget = rep[50]
-    assert n == 50 and total == budget == 51 * 52 // 2

@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 from capgame import lp
-from capgame.errors import ComputationError, PreconditionError
+from capgame.errors import PreconditionError
 from capgame.game import (
     Strategy,
     _column_payoffs,
@@ -76,7 +76,8 @@ def test_game_value_infinite_entry_finite_value():
 
 
 def test_game_value_infinite_entry_attained():
-    # with a large finite column the capped value stabilizes exactly
+    # only column 2 is infinity-free, so V = 1, and x = (1/2, 1/2, 0)
+    # attains it: both other columns then pay +inf
     g = [[F(0), INF, F(1)], [INF, F(0), F(1)], [F(1), F(1), F(0)]]
     r = game_value(g)
     assert r.value == 1
@@ -359,11 +360,11 @@ def test_symmetric_game_n20_certified_exactly(monkeypatch):
     assert max(sum(row[j] * r.y_star[j] for j in range(n)) for row in rows) == r.value
 
 
-def test_too_many_infinity_patterns_without_stable_cap_raise():
-    # the true value 1 is a supremum that no strategy attains, so the capped
-    # values never settle, and 14 infinity patterns are past the enumeration
-    # limit; this used to return value = inf although the uniform strategy
-    # already floors the value at -1199/14
+def test_fourteen_infinity_patterns_value_is_a_supremum():
+    # only column 0 is infinity-free, so V = val(G[:, {0}]) = 1; no strategy
+    # attains it: column 0 pays 1 only against row 1 alone, which leaves
+    # column 1 at 0.  The old cap doubling never settled here, and 14
+    # infinity patterns were past its support enumeration
     n = 14
     g = [[F(-100)] * n for _ in range(n)]
     g[0] = [F(0), INF] + [F(5)] * (n - 2)
@@ -371,8 +372,79 @@ def test_too_many_infinity_patterns_without_stable_cap_raise():
     for i in range(2, n):
         g[i][i] = INF
     assert payoff_floor(g, Strategy.uniform(n)) == F(-1199, 14)
-    with pytest.raises(ComputationError, match="did not stabilize"):
-        game_value(g)
+    r = game_value(g)
+    assert r.value == 1
+    assert payoff_floor(g, r.x_star) >= 1 - F(1, 10**9)
+    assert max_row_payoff(g, r.y_star) <= 1
+
+
+# --- +inf games against an exact support enumeration --------------------------
+
+
+def max_row_payoff(rows, y):
+    """max over rows i of sum_j G_ij y_j, with the convention 0*inf = 0."""
+    transposed = [list(col) for col in zip(*rows)]
+    return max(_column_payoffs(transposed, tuple(y)))
+
+
+def reference_value(rows):
+    """The sup-inf value by enumeration over row supports.
+
+    A strategy fully mixed on a row support S pays +inf on every column that
+    meets an infinity in S, so its best floor is the value of the finite game
+    S x (the other columns), or +inf when no column is left.  Closing S up
+    to every row whose infinities lie in the same blocked set never lowers
+    that value, so unions of the distinct infinity patterns suffice.
+    """
+    n = len(rows)
+    pattern = [frozenset(j for j in range(n) if rows[i][j] == INF) for i in range(n)]
+    distinct = sorted(set(pattern), key=sorted)
+    best = None
+    for mask in range(1 << len(distinct)):
+        blocked = frozenset().union(*(p for t, p in enumerate(distinct) if mask >> t & 1))
+        support = [i for i in range(n) if pattern[i] <= blocked]
+        if not support:
+            continue
+        effective = frozenset().union(*(pattern[i] for i in support))
+        cols = [j for j in range(n) if j not in effective]
+        if not cols:
+            return INF
+        value = lp.solve([[rows[i][j] for j in cols] for i in support])[0]
+        best = value if best is None else max(best, value)
+    return best
+
+
+def test_infinite_entry_y_star_is_optimal():
+    # only column 1 is infinity-free, so V = max(-2, -1) = -1, and y must
+    # put all its weight there: (1/12, 11/12) made row 0 pay +inf
+    g = [[INF, F(-2)], [F(-1), F(-1)]]
+    r = game_value(g)
+    assert r.value == -1
+    assert list(r.y_star) == [0, 1]
+    assert max_row_payoff(g, r.y_star) == -1
+    assert payoff_floor(g, r.x_star) == -1
+
+
+def test_infinite_games_match_support_enumeration():
+    rng = random.Random(101)
+    slack = F(1, 10**9)
+    for _ in range(150):
+        n = rng.randint(1, 9)
+        g = random_matrix(rng, n, den=rng.choice((1, 4)))
+        density = rng.choice((0.1, 0.2, 0.35))
+        for i in range(n):
+            for j in range(n):
+                if rng.random() < density:
+                    g[i][j] = INF
+        r = game_value(g)
+        assert r.value == reference_value(g), g
+        floor = payoff_floor(g, r.x_star)
+        if r.is_infinite:
+            assert floor == INF and r.y_star is None
+        else:
+            assert floor >= r.value - slack, g
+            assert max_row_payoff(g, r.y_star) <= r.value, g
+            assert r.certificate == tuple(_column_payoffs(g, r.x_star.weights))
 
 
 # --- column payoffs on integers ------------------------------------------------

@@ -1,4 +1,3 @@
-import math
 from fractions import Fraction
 
 import pytest
@@ -40,7 +39,6 @@ def test_matrix_good_reduction_trivial_scaling():
     place = NonArchPlace(2, {0: F(0)})
     m = nonarch_matrix(place, [0])
     assert m.coeffs == ((F(0),),)
-    assert m.to_floats() == ((0.0,),)
 
 
 def test_matrix_scaling_valuation():
@@ -48,7 +46,6 @@ def test_matrix_scaling_valuation():
     place = NonArchPlace(2, {0: F(0)})
     m = nonarch_matrix(place, [0], scalings={0: F(3, 2)})
     assert m.coeffs == ((F(-1),),)
-    assert m.to_floats()[0][0] == pytest.approx(-math.log(2), abs=1e-15)
     # same scaling at p = 3: v_3(3/2) = +1, entry +log 3
     m3 = nonarch_matrix(NonArchPlace(3), [0], scalings={0: F(3, 2)})
     assert m3.coeffs == ((F(1),),)
@@ -57,7 +54,6 @@ def test_matrix_scaling_valuation():
 def test_matrix_half_size():
     m = nonarch_matrix(NonArchPlace(3, {0: F(-1, 2)}), [0])
     assert m.coeffs == ((F(-1, 2),),)
-    assert m.to_floats()[0][0] == pytest.approx(-0.5 * math.log(3), abs=1e-15)
 
 
 def test_matrix_off_diagonal_and_order():
@@ -74,14 +70,13 @@ def test_matrix_unknown_point():
 def test_analyticity_empty():
     rep = a_analyticity_check([], ids=[0])
     assert rep.verdict is True
-    assert rep.total_log_size(0) == 0.0
+    assert rep.totals == {0: {}}
 
 
 def test_analyticity_totals():
     places = [NonArchPlace(2, {0: F(-1)}), NonArchPlace(2, {0: F(-1, 2)})]
     rep = a_analyticity_check(places, ids=[0])
     assert rep.totals[0] == {2: F(-3, 2)}
-    assert rep.total_log_size(0) == pytest.approx(-1.5 * math.log(2))
     assert rep.verdict is True
 
 
