@@ -420,30 +420,20 @@ def _component_robin(comp: Component, pole) -> float:
     return math.log((psi * psi - 1.0) / dpsi)
 
 
-def arch_matrix(
-    assignment: ArchDomainAssignment,
-    points: Sequence[MarkedPoint],
-    scalings: Optional[Mapping[int, Fraction]] = None,
-) -> tuple:
+def arch_matrix(assignment: ArchDomainAssignment, points: Sequence[MarkedPoint]) -> tuple:
     """The per-place matrix at the real place, indexed by sorted point id.
 
     Off-diagonal (i, j) is the Green value with pole at point i evaluated at
     point j (zero across distinct components); the diagonal holds the Robin
-    constant, shifted by -log|a_i| when a tangent scaling is supplied.
+    constant in the canonical parameter.  Tangent scalings are applied by
+    `gamematrix.gauge_shift`.
     """
     pts = sorted(points, key=lambda p: p.id)
     n = len(pts)
     rows = [[0.0] * n for _ in range(n)]
     for i, pi in enumerate(pts):
         assignment.component_index(pi.id)  # placement must cover every point
-        diag = robin_constant(assignment.domain, pi.coordinate)
-        if scalings:
-            a = scalings.get(pi.id)
-            if a is not None:
-                if a == 0:
-                    raise PreconditionError("tangent scaling must be nonzero")
-                diag -= math.log(abs(float(Fraction(a))))
-        rows[i][i] = diag
+        rows[i][i] = robin_constant(assignment.domain, pi.coordinate)
         for j, pj in enumerate(pts):
             if i == j:
                 continue

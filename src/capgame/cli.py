@@ -26,8 +26,8 @@ from typing import Optional, Sequence
 from .arch import arch_matrix, green
 from .errors import CapgameError, ComputationError, PreconditionError, ProblemFormatError
 from .exact import format_rational, support_primes
-from .game import GameValueResult, game_value, rational_strategy
-from .gamematrix import GameMatrix, assemble
+from .game import GameValueResult, game_value, rational_strategy, rationalize_matrix
+from .gamematrix import GameMatrix, assemble, gauge_shift
 from .nonarch import NonArchPlace, a_analyticity_check, nonarch_matrix
 from .oracle import OracleReport, certify_rationality
 from .problem import ProblemSpec, parse_problem
@@ -95,29 +95,29 @@ def to_json(value, indent: int = 0) -> str:
 def build_global_matrix(spec: ProblemSpec) -> GameMatrix:
     """Assemble every declared place plus the primes supporting the scalings.
 
-    A prime dividing some scaling but missing from the declared places is
-    added with zero size data, so the product formula keeps the assembled
-    diagonal independent of the scalings.
+    The real and prime matrices are built in the canonical parameters and
+    shifted by the tangent scalings in one `gauge_shift`; user extra places
+    are taken as given.  A prime dividing some scaling but missing from the
+    declared places is added with zero size data, so the product formula
+    keeps the assembled diagonal independent of the scalings.
     """
     points = spec.sorted_points()
     ids = spec.sorted_ids()
     scalings = spec.scaling_map()
 
-    arch = [arch_matrix(a, points, scalings) for a in spec.arch_places]
+    arch = [arch_matrix(a, points) for a in spec.arch_places]
 
     declared = {pl.p: pl for pl in spec.nonarch_places}
     needed = set(declared)
     for a in scalings.values():
         if a != 1:
             needed.update(support_primes(a))
-    prime_mats = []
-    for p in sorted(needed):
-        place = declared.get(p, NonArchPlace(p))
-        prime_mats.append(nonarch_matrix(place, ids, scalings))
+    primes = [nonarch_matrix(declared.get(p, NonArchPlace(p)), ids) for p in sorted(needed)]
 
+    shifted = gauge_shift(arch + primes, [scalings[pid] for pid in ids])
     extra = [e.entries for e in spec.extra_places]
     labels = [e.label for e in spec.extra_places]
-    return assemble(arch, prime_mats, extra, ids=ids, extra_labels=labels)
+    return assemble(shifted[: len(arch)], shifted[len(arch):], extra, ids=ids, extra_labels=labels)
 
 
 @dataclass(frozen=True)
@@ -181,9 +181,11 @@ class Verdict:
 def run_check(spec: ProblemSpec) -> Verdict:
     """Assemble, solve the game, consult the oracle, and compare verdicts.
 
-    When the value is finite and positive, a schedule built from a strictly
-    positive rational strategy at v' = value/2 is checked against its bounds
-    and the weighted floor inequality as a diagnostic.
+    The float matrix is rationalized once; the game value, the rational
+    strategy and the weighted floor all read the same exact rows.  When the
+    value is finite and positive, a schedule built from a strictly positive
+    rational strategy at v' = value/2 is checked against its bounds and the
+    weighted floor inequality as a diagnostic.
     """
     matrix = build_global_matrix(spec)
     points = spec.sorted_points()
@@ -193,7 +195,8 @@ def run_check(spec: ProblemSpec) -> Verdict:
         spec.nonarch_places, ids, infinite_tail=spec.infinite_tail
     )
 
-    result = game_value(matrix)
+    rows = rationalize_matrix(matrix)
+    result = game_value(rows)
     criterion_holds = result.is_infinite or result.value > 0
 
     jets = [spec.series_for(pid) for pid in ids]
@@ -212,10 +215,10 @@ def run_check(spec: ProblemSpec) -> Verdict:
     schedule_diag = None
     if not result.is_infinite and result.value > 0:
         v_prime = result.value / 2
-        a = rational_strategy(matrix, v_prime, result=result)
+        a = rational_strategy(rows, v_prime, result=result)
         sched = build_schedule(a, SCHEDULE_DIAGNOSTIC_K, ids=ids)
         bounds = check_bounds(sched)
-        floor = weighted_floor(sched, matrix, v_prime)
+        floor = weighted_floor(sched, rows, v_prime)
         schedule_diag = ScheduleDiagnostics(
             v_prime=v_prime,
             a=a.weights,
@@ -287,13 +290,13 @@ def _cmd_schedule(args) -> tuple[dict, str]:
         if len(weights) != len(ids):
             raise PreconditionError("--a must list one weight per point")
     else:
-        matrix = build_global_matrix(spec)
-        result = game_value(matrix)
+        rows = rationalize_matrix(build_global_matrix(spec))
+        result = game_value(rows)
         if result.is_infinite or result.value <= 0:
             raise PreconditionError(
                 "--a is required when the game value is not finite positive"
             )
-        weights = rational_strategy(matrix, result.value / 2, result=result).weights
+        weights = rational_strategy(rows, result.value / 2, result=result).weights
     sched = build_schedule(weights, args.K, ids=ids)
     bounds = check_bounds(sched)
     report = sched.to_report()
@@ -322,6 +325,11 @@ def _cmd_greens(args) -> tuple[dict, str]:
     except ValueError as exc:
         raise PreconditionError("--at expects two comma-separated numbers") from exc
     val = green(assignment.domain, pole.coordinate, complex(x, y))
+    if math.isnan(val):
+        raise PreconditionError(
+            f"Green value at {x},{y} is not computable in floating point: "
+            f"the domain and the pole collide after rounding"
+        )
     report = {"pole": args.pole, "at": [x, y], "green": val}
     return report, f"g(pole={args.pole}, z={x}+{y}i) = {val:.6g}"
 

@@ -168,29 +168,38 @@ def game_value(matrix) -> GameValueResult:
         y[j] = w
     certificate = tuple(_column_payoffs(rows, x))
     if min(certificate) < value:
-        x = _blend_to_floor(rows, x, certificate, value)
+        # the least k >= 1 with (1 - 2**-k) x + 2**-k u within 1e-9 of V
+        k = _blend_exponent(rows, x, value - Fraction(1, 10**9), strict=False)
+        x = _blend(x, Fraction(1, 2**k))
         certificate = tuple(_column_payoffs(rows, x))
     return GameValueResult(value, Strategy(x), Strategy(tuple(y)), certificate)
 
 
-def _blend_to_floor(rows, x, payoffs, value) -> tuple:
-    """(1 - eps) x + eps u, u uniform, for the largest eps = 2**-k <= 1/2
-    whose floor is within 1e-9 of the value.
+def _blend(x, eps) -> tuple:
+    """(1 - eps) x + eps u, u uniform."""
+    return tuple((1 - eps) * w + eps / len(x) for w in x)
 
-    A column with a +infinity entry pays +infinity for every eps > 0.  A
-    column j with x-payoff a_j >= V and u-payoff b_j < a_j pays at least
-    V - 1e-9 exactly when eps <= (a_j - V + 1e-9) / (a_j - b_j).
+
+def _blend_exponent(rows, x, target, strict) -> Optional[int]:
+    """The least k >= 1 whose blend (1 - eps) x + eps u, eps = 2**-k, pays
+    at least target (more when strict) on each column j whose u-payoff b_j
+    is below its x-payoff a_j; None when no eps > 0 does.
+
+    Column j pays a_j + eps (b_j - a_j), or +infinity for every eps > 0 if it
+    holds a +infinity entry.  When b_j < a_j that bounds eps from above by
+    (a_j - target) / (a_j - b_j); any other column holds for all eps above
+    some bound or for none.  So if this eps fails on the whole matrix, every
+    smaller power of two fails too.
     """
     n = len(rows)
-    slack = Fraction(1, 10**9)
-    limit = Fraction(1, 2)
-    for a, b in zip(payoffs, _column_payoffs(rows, (Fraction(1, n),) * n)):
-        if b != INF and a > b:
-            limit = min(limit, (a - value + slack) / (a - b))
-    # the least k with 2**k >= 1/limit
-    k = (math.ceil(1 / limit) - 1).bit_length()
-    eps = Fraction(1, 2**k)
-    return tuple((1 - eps) * w + eps / n for w in x)
+    high = Fraction(1)
+    for a, b in zip(_column_payoffs(rows, x), _column_payoffs(rows, (Fraction(1, n),) * n)):
+        if b < a:
+            high = min(high, (a - target) / (a - b))
+    if high <= 0:
+        return None
+    # the least k with 2**k > 1/high (strict) or 2**k >= 1/high
+    return max(1, (math.floor(1 / high) if strict else math.ceil(1 / high) - 1).bit_length())
 
 
 def minimax_check(matrix) -> bool:
@@ -212,9 +221,10 @@ def minimax_check(matrix) -> bool:
 
 def rational_strategy(matrix, v_prime, result: Optional[GameValueResult] = None) -> Strategy:
     """A strictly positive exact rational strategy beating v_prime on every
-    column: blend the LP maximizer with the barycenter, halving the blend
-    until all column payoffs exceed v_prime strictly, then simplify the
-    coordinates by continued fractions and re-verify."""
+    column: the blend (1 - eps) x* + eps u of the LP maximizer with the
+    barycenter for the largest eps = 2**-k, 1 <= k <= 200, whose column
+    payoffs all exceed v_prime (found in closed form), with coordinates then
+    simplified by continued fractions and re-verified."""
     rows = rationalize_matrix(matrix)
     n = len(rows)
     v_prime = Fraction(v_prime)
@@ -229,13 +239,11 @@ def rational_strategy(matrix, v_prime, result: Optional[GameValueResult] = None)
             return bary
         raise ComputationError("barycenter fails to certify an infinite value")
 
-    x_star = result.x_star.weights
-    eps = Fraction(1, 2)
-    for _ in range(200):
-        cand = tuple((1 - eps) * xs + eps * bi for xs, bi in zip(x_star, bary.weights))
-        if all(v > 0 for v in cand) and _beats(rows, cand, v_prime):
+    k = _blend_exponent(rows, result.x_star.weights, v_prime, strict=True)
+    if k is not None and k <= 200:
+        cand = _blend(result.x_star.weights, Fraction(1, 2**k))
+        if _beats(rows, cand, v_prime):
             return _simplify_strategy(rows, cand, v_prime)
-        eps /= 2
     raise ComputationError("failed to construct a strictly positive strategy")
 
 

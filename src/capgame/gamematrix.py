@@ -2,8 +2,10 @@
 
 Entries live in R together with +infinity (kept as math.inf, never as a
 large finite float).  The diagonal must stay finite; off-diagonal entries
-are nonnegative.  By the product formula the diagonal does not depend on
-the tangent scalings once every supporting place is included in the sum.
+are nonnegative.  `gauge_shift` is the one place that applies tangent
+scalings: the real and prime matrices are built in the canonical
+parameters and shifted here.  By the product formula the diagonal does not
+depend on the scalings once every supporting place is included in the sum.
 """
 
 from __future__ import annotations

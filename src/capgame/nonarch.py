@@ -10,10 +10,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Mapping, Optional, Sequence
+from typing import Sequence
 
 from .errors import PreconditionError, ProblemFormatError
-from .exact import format_rational, is_prime, padic_valuation
+from .exact import format_rational, is_prime
 
 SIZE_PRESETS = ("good_reduction", "leaf", "leaf_p_curvature")
 
@@ -96,15 +96,13 @@ class PrimeMatrix:
         return len(self.coeffs)
 
 
-def nonarch_matrix(
-    place: NonArchPlace,
-    ids: Sequence[int],
-    scalings: Optional[Mapping[int, Fraction]] = None,
-) -> PrimeMatrix:
+def nonarch_matrix(place: NonArchPlace, ids: Sequence[int]) -> PrimeMatrix:
     """Exact matrix of the place over the given point-id order.
 
-    Diagonal (i, i) is q_i + v_p(a_i) (times log p), the valuation term being
-    -log|a_i|_p; off-diagonal entries are the supplied coefficients or 0.
+    Diagonal (i, i) is the log-size coefficient q_i (times log p);
+    off-diagonal entries are the supplied coefficients or 0.  Tangent
+    scalings, which add v_p(a_i) to the diagonal, are applied by
+    `gamematrix.gauge_shift`.
     """
     ids = list(ids)
     n = len(ids)
@@ -118,15 +116,6 @@ def nonarch_matrix(
         if i not in pos or j not in pos:
             raise PreconditionError(f"place p={place.p} references unknown point pair {(i, j)}")
         rows[pos[i]][pos[j]] = v
-    if scalings:
-        for pid, a in scalings.items():
-            if pid not in pos:
-                continue
-            a = Fraction(a)
-            if a == 0:
-                raise PreconditionError("tangent scaling must be nonzero")
-            k = pos[pid]
-            rows[k][k] += padic_valuation(a, place.p)
     return PrimeMatrix(place.p, tuple(tuple(r) for r in rows))
 
 

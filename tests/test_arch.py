@@ -19,6 +19,7 @@ from capgame.arch import (
 )
 from capgame.errors import PreconditionError, ProblemFormatError
 from capgame.formal import INFINITY, MarkedPoint
+from capgame.gamematrix import gauge_shift
 
 F = Fraction
 
@@ -245,7 +246,7 @@ def test_arch_matrix_symmetry_and_scaling():
     m = arch_matrix(a, pts)
     assert m[0][1] == pytest.approx(math.log(2), abs=1e-12)
     assert m[1][0] == pytest.approx(math.log(2), abs=1e-12)  # |(4-0)/(2*1)|
-    shifted = arch_matrix(a, pts, scalings={0: F(2), 1: F(1)})
+    (shifted,) = gauge_shift([m], [F(2), F(1)])
     assert shifted[0][0] == pytest.approx(m[0][0] - math.log(2), abs=1e-12)
     assert shifted[0][1] == m[0][1]
 

@@ -7,6 +7,7 @@ from pathlib import Path
 
 import pytest
 
+from capgame import game
 from capgame.cli import build_global_matrix, run_check, to_json
 from capgame.problem import parse_problem
 
@@ -77,6 +78,24 @@ def test_global_matrix_includes_scaling_support_primes():
     assert set(g.places) == {"real", "p=2", "p=3", "p=5"}
     # product formula: the diagonal is unchanged by the scaling
     assert g.entries[0][0] == pytest.approx(math.log(2), abs=1e-12)
+
+
+@pytest.mark.parametrize("path", [BOREL_DWORK, TWO_POINT], ids=["borel_dwork", "two_point"])
+def test_run_check_rationalizes_each_float_entry_once(monkeypatch, path):
+    # the game value, the rational strategy and the weighted floor all read
+    # one exact copy of the matrix instead of rationalizing it three times
+    calls = []
+    rationalize = game.rationalize_entry
+
+    def counting(v):
+        if isinstance(v, float) and math.isfinite(v):
+            calls.append(v)
+        return rationalize(v)
+
+    monkeypatch.setattr(game, "rationalize_entry", counting)
+    verdict = run_check(load_spec(path))
+    assert verdict.schedule_diag is not None
+    assert len(calls) == verdict.matrix.size ** 2
 
 
 # --- subcommands -------------------------------------------------------------
@@ -189,6 +208,14 @@ def test_cli_output_matches_golden(problem, command):
     res = run_cli(command, str(ROOT / "problems" / f"{problem}.json"))
     assert res.returncode == 0, res.stderr
     assert res.stdout == (GOLDEN / f"{problem}.{command}.json").read_text()
+
+
+def test_cli_scaled_document_matches_golden():
+    # tangent scalings -5/6 and 3/2 pull in the primes 2, 3 and 5 and scale
+    # the point at infinity; the product formula keeps the matrix unchanged
+    res = run_cli("check", str(GOLDEN / "two_point_interval_scaled.json"))
+    assert res.returncode == 0, res.stderr
+    assert res.stdout == (GOLDEN / "two_point_interval_scaled.check.json").read_text()
 
 
 def test_cli_deterministic_output():
@@ -328,6 +355,21 @@ def test_cli_float_collision_in_robin_constant_exit_4(tmp_path, problem, mutate)
     path = tmp_path / "collided.json"
     path.write_text(json.dumps(doc))
     res = run_cli("check", str(path))
+    assert res.returncode == 4, res.stderr
+    error = json.loads(res.stdout)["error"]
+    assert error["kind"] == "precondition"
+    assert "collide after rounding" in error["message"]
+    assert "Traceback" not in res.stderr
+
+
+def test_cli_greens_nan_exit_4(tmp_path):
+    # endpoints that collide in float give a NaN Green value, which the JSON
+    # emitter used to meet with a ValueError traceback
+    doc = json.loads(TWO_POINT.read_text())
+    _collide_interval_endpoints(doc)
+    path = tmp_path / "collided.json"
+    path.write_text(json.dumps(doc))
+    res = run_cli("greens", str(path), "--pole", "0", "--at", "3,0")
     assert res.returncode == 4, res.stderr
     error = json.loads(res.stdout)["error"]
     assert error["kind"] == "precondition"

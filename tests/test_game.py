@@ -5,15 +5,19 @@ from fractions import Fraction
 import pytest
 
 from capgame import lp
-from capgame.errors import PreconditionError
+from capgame.errors import ComputationError, PreconditionError
 from capgame.game import (
+    GameValueResult,
     Strategy,
+    _beats,
     _column_payoffs,
+    _simplify_strategy,
     game_value,
     minimax_check,
     payoff_floor,
     rational_strategy,
     rationalize_entry,
+    rationalize_matrix,
 )
 
 F = Fraction
@@ -213,6 +217,73 @@ def test_rational_strategy_strictly_positive_and_beats():
 def test_rational_strategy_precondition():
     with pytest.raises(PreconditionError):
         rational_strategy([[F(1)]], F(2))
+
+
+def reference_rational_strategy(matrix, v_prime, result=None):
+    """rational_strategy by the former search: halve the blend eps from 1/2
+    up to 200 times until every column payoff beats v_prime."""
+    rows = rationalize_matrix(matrix)
+    n = len(rows)
+    v_prime = F(v_prime)
+    if result is None:
+        result = game_value(rows)
+    if not result.is_infinite and v_prime >= result.value:
+        raise PreconditionError("v_prime must be strictly below the game value")
+    bary = Strategy.uniform(n)
+    if result.is_infinite:
+        if _beats(rows, bary.weights, v_prime):
+            return bary
+        raise ComputationError("barycenter fails to certify an infinite value")
+    eps = F(1, 2)
+    for _ in range(200):
+        cand = tuple((1 - eps) * xs + eps * bi for xs, bi in zip(result.x_star, bary))
+        if all(v > 0 for v in cand) and _beats(rows, cand, v_prime):
+            return _simplify_strategy(rows, cand, v_prime)
+        eps /= 2
+    raise ComputationError("failed to construct a strictly positive strategy")
+
+
+def strategy_outcome(fn, *args):
+    try:
+        return fn(*args)
+    except (ComputationError, PreconditionError) as exc:
+        return type(exc), str(exc)
+
+
+def strategy_pool():
+    """Seeded 2-8 point games, about 10% +inf off the diagonal, with their
+    optimal results, and at v' = V/2 with a random (suboptimal) x_star."""
+    rng = random.Random(107)
+    for trial in range(80):
+        n = rng.randint(2, 8)
+        g = random_matrix(rng, n, lo=-2) if trial % 2 else float_matrix(rng, n, n)
+        for i in range(n):
+            for j in range(n):
+                if i != j and rng.random() < 0.1:
+                    g[i][j] = INF
+        res = game_value(g)
+        raw = [F(rng.randint(0, 5)) for _ in range(n)]
+        raw[rng.randrange(n)] += 1
+        mixed = GameValueResult(res.value, Strategy(tuple(w / sum(raw) for w in raw)), None, ())
+        v = F(1) if res.is_infinite else res.value
+        for v_prime in (v / 2, v - F(1, 10**9), v - F(1, 10**12), 999 * v / 1000):
+            yield g, v_prime, res
+        if not res.is_infinite:
+            yield g, v / 2, mixed
+    # the largest admissible eps lies above 2**-200 in one case, below it in the other
+    g = [[F(2), F(0)], [F(0), F(1)]]
+    res = game_value(g)
+    yield g, res.value - F(1, 2**190), res
+    yield g, res.value - F(1, 2**250), res
+
+
+def test_rational_strategy_matches_the_halving_search():
+    kinds = set()
+    for g, v_prime, res in strategy_pool():
+        got = strategy_outcome(rational_strategy, g, v_prime, res)
+        assert got == strategy_outcome(reference_rational_strategy, g, v_prime, res), g
+        kinds.add(got[0] if isinstance(got, tuple) else Strategy)
+    assert kinds == {Strategy, ComputationError, PreconditionError}
 
 
 def test_rationalization_of_floats():

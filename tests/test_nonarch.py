@@ -3,6 +3,7 @@ from fractions import Fraction
 import pytest
 
 from capgame.errors import PreconditionError, ProblemFormatError
+from capgame.gamematrix import gauge_shift
 from capgame.nonarch import (
     NonArchPlace,
     a_analyticity_check,
@@ -44,10 +45,10 @@ def test_matrix_good_reduction_trivial_scaling():
 def test_matrix_scaling_valuation():
     # a = 3/2 at p = 2: v_2(3/2) = -1, so the diagonal entry is -log 2
     place = NonArchPlace(2, {0: F(0)})
-    m = nonarch_matrix(place, [0], scalings={0: F(3, 2)})
+    (m,) = gauge_shift([nonarch_matrix(place, [0])], [F(3, 2)])
     assert m.coeffs == ((F(-1),),)
     # same scaling at p = 3: v_3(3/2) = +1, entry +log 3
-    m3 = nonarch_matrix(NonArchPlace(3), [0], scalings={0: F(3, 2)})
+    (m3,) = gauge_shift([nonarch_matrix(NonArchPlace(3), [0])], [F(3, 2)])
     assert m3.coeffs == ((F(1),),)
 
 
