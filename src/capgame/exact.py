@@ -1,9 +1,19 @@
 """Exact arithmetic toolkit: rational parsing, p-adic valuations, dense
-polynomials over Fraction, and Gaussian elimination over the rationals.
+polynomials over the rationals, and Gaussian elimination over the rationals.
 
 Everything in here is pure and exact; floating point never enters.
 Polynomials are tuples of Fractions in ascending degree order, trimmed of
 trailing zeros (the zero polynomial is the empty tuple).
+
+The polynomial arithmetic runs fraction-free on integer polynomials: a
+pair (coefficients, denominator) of a trimmed list of Python ints in
+ascending degree order and one positive int, standing for the polynomial
+with coefficients c_k / denominator (the zero polynomial is ([], 1)).
+Each helper reduces its result once, by the gcd of the denominator and
+all coefficients, instead of one gcd per coefficient operation.  The
+Taylor shift, series division, sum, product and pseudo-division with its
+extended Euclidean sequence are written on these pairs; the Fraction-tuple
+versions of them (and of the gcd) are thin wrappers.
 """
 
 from __future__ import annotations
@@ -18,6 +28,7 @@ F0 = Fraction(0)
 F1 = Fraction(1)
 
 Poly = tuple  # tuple[Fraction, ...], ascending coefficients, trimmed
+IPoly = tuple  # (list[int], int): integer coefficients over one positive denominator
 
 
 def parse_rational(text: str) -> Fraction:
@@ -134,13 +145,11 @@ def poly_deg(p: Poly) -> int:
 
 
 def poly_add(p: Poly, q: Poly) -> Poly:
-    n = max(len(p), len(q))
-    return poly((p[i] if i < len(p) else F0) + (q[i] if i < len(q) else F0) for i in range(n))
+    return ipoly_fractions(ipoly_add(ipoly(p), ipoly(q)))
 
 
 def poly_sub(p: Poly, q: Poly) -> Poly:
-    n = max(len(p), len(q))
-    return poly((p[i] if i < len(p) else F0) - (q[i] if i < len(q) else F0) for i in range(n))
+    return ipoly_fractions(ipoly_add(ipoly(p), ipoly(q), -1))
 
 
 def poly_scale(p: Poly, c: Fraction) -> Poly:
@@ -148,15 +157,7 @@ def poly_scale(p: Poly, c: Fraction) -> Poly:
 
 
 def poly_mul(p: Poly, q: Poly) -> Poly:
-    if not p or not q:
-        return ()
-    out = [F0] * (len(p) + len(q) - 1)
-    for i, a in enumerate(p):
-        if a == 0:
-            continue
-        for j, b in enumerate(q):
-            out[i + j] += a * b
-    return poly(out)
+    return ipoly_fractions(ipoly_mul(ipoly(p), ipoly(q)))
 
 
 def poly_eval(p: Poly, x):
@@ -168,74 +169,208 @@ def poly_eval(p: Poly, x):
 
 def poly_shift(p: Poly, a: Fraction) -> Poly:
     """Coefficients of p(t + a) as a polynomial in t (exact Taylor shift)."""
-    a = Fraction(a)
-    out: list[Fraction] = []
-    for c in reversed(p):
-        # out <- out*(t + a) + c
-        new = [F0] * (len(out) + 1)
-        for i, v in enumerate(out):
-            new[i + 1] += v
-            new[i] += a * v
-        new[0] += Fraction(c)
-        out = new
-    return poly(out)
+    return ipoly_fractions(ipoly_shift(ipoly(p), a))
 
 
 def poly_reverse(p: Poly, degree: int) -> Poly:
     """Coefficients of z**degree * p(1/z); requires degree >= deg(p)."""
-    if poly_deg(p) > degree:
-        raise PreconditionError("reversal degree below polynomial degree")
-    out = [F0] * (degree + 1)
-    for k, c in enumerate(p):
-        out[degree - k] = c
-    return poly(out)
+    return ipoly_fractions(ipoly_reverse(ipoly(p), degree))
 
 
 def poly_divmod(a: Poly, b: Poly) -> tuple[Poly, Poly]:
-    if not b:
-        raise ZeroDivisionError("polynomial division by zero")
-    a, b = poly(a), poly(b)
-    db, lead = poly_deg(b), b[-1]
-    q = [F0] * max(0, len(a) - len(b) + 1)
-    r = list(a)
-    while len(r) - 1 >= db:
-        coeff = r[-1] / lead
-        shift = len(r) - 1 - db
-        q[shift] = coeff
-        for i, c in enumerate(b):
-            r[i + shift] -= coeff * c
-        while r and r[-1] == 0:
-            r.pop()
-    return poly(q), poly(r)
+    """Quotient and remainder of a by b, from the pseudo-division of their
+    integer parts."""
+    (acs, da), (bcs, db) = ipoly(a), ipoly(b)
+    q, r = ipoly_pdivmod(acs, bcs)
+    scale = da * bcs[-1] ** max(len(acs) - len(bcs) + 1, 0)
+    return ipoly_fractions(_reduced([v * db for v in q], scale)), ipoly_fractions(_reduced(r, scale))
 
 
 def poly_gcd(a: Poly, b: Poly) -> Poly:
-    """Monic greatest common divisor over the rationals (Euclid)."""
-    a, b = poly(a), poly(b)
+    """Monic greatest common divisor over the rationals (Euclid on primitive
+    integer remainders)."""
+    a, b = ipoly(a)[0], ipoly(b)[0]
     while b:
-        _, r = poly_divmod(a, b)
-        a, b = b, r
-    if not a:
-        return ()
-    return poly_scale(a, 1 / a[-1])
+        r = ipoly_pdivmod(a, b)[1]
+        g = math.gcd(*r)
+        a, b = b, [v // g for v in r]
+    return ipoly_fractions((a, a[-1])) if a else ()
 
 
 def series_div(num: Sequence, den: Sequence, order: int) -> list[Fraction]:
     """First order+1 coefficients of num/den as a power series; den[0] != 0."""
-    if not den or den[0] == 0:
-        raise PreconditionError("series division needs a unit constant term")
-    d0 = Fraction(den[0])
-    out: list[Fraction] = []
-    for k in range(order + 1):
-        acc = Fraction(num[k]) if k < len(num) else F0
-        for j in range(1, min(k, len(den) - 1) + 1):
-            acc -= Fraction(den[j]) * out[k - j]
-        out.append(acc / d0)
-    return out
+    return list(ipoly_fractions(iseries_div(ipoly(num[: order + 1]), ipoly(den), order),
+                                order + 1))
 
 
 def binomial(n: int, k: int) -> int:
     return math.comb(n, k)
+
+
+# ---------------------------------------------------------------------------
+# integer polynomials: (coefficients, denominator) pairs
+
+
+def ipoly(p: Iterable) -> IPoly:
+    """Rational coefficients as integers over their least common denominator."""
+    cs = [Fraction(c) for c in p]
+    while cs and cs[-1] == 0:
+        cs.pop()
+    den = math.lcm(*(c.denominator for c in cs))
+    return [c.numerator * (den // c.denominator) for c in cs], den
+
+
+def ipoly_fractions(p: IPoly, length: int = 0) -> Poly:
+    """The Fraction coefficients of p, zero-padded to at least `length`."""
+    cs, den = p
+    return tuple(Fraction(c, den) for c in cs) + (F0,) * (length - len(cs))
+
+
+def _reduced(cs: list, den: int) -> IPoly:
+    """cs/den over the least denominator: one gcd pass over the result."""
+    while cs and cs[-1] == 0:
+        cs.pop()
+    g = math.gcd(den, *cs)
+    if g > 1:
+        cs, den = [c // g for c in cs], den // g
+    return cs, den
+
+
+def ipoly_add(p: IPoly, q: IPoly, sign: int = 1) -> IPoly:
+    """p + sign*q over the common denominator."""
+    (a, da), (b, db) = p, q
+    g = math.gcd(da, db)
+    fa, fb = db // g, sign * (da // g)
+    out = [c * fa for c in a] + [0] * (len(b) - len(a))
+    for i, c in enumerate(b):
+        out[i] += c * fb
+    return _reduced(out, da * fa)
+
+
+def ipoly_mul(p: IPoly, q: IPoly) -> IPoly:
+    """p*q over the product of the denominators."""
+    (a, da), (b, db) = p, q
+    if not a or not b:
+        return [], 1
+    out = [0] * (len(a) + len(b) - 1)
+    for i, c in enumerate(a):
+        if c:
+            for j, e in enumerate(b):
+                out[i + j] += c * e
+    return _reduced(out, da * db)
+
+
+def ipoly_shift(p: IPoly, a) -> IPoly:
+    """p(t + a) for a = n/b in lowest terms (integer Taylor shift).
+
+    R(u) = b**D p(u/b), D = deg p, has integer coefficients; it is shifted
+    by the integer n in place (Horner: additions and products with n), and
+    R(b*t + n) = b**D p(t + a)."""
+    a = Fraction(a)
+    n, b = a.numerator, a.denominator
+    cs, den = p
+    deg = len(cs) - 1
+    r = list(cs)
+    if b != 1:
+        power = 1
+        for k in range(deg - 1, -1, -1):
+            power *= b
+            r[k] *= power
+    if n:
+        for i in range(deg):
+            for j in range(deg - 1, i - 1, -1):
+                r[j] += n * r[j + 1]
+    if b == 1:
+        return r, den  # an integer shift keeps the content: still reduced
+    power = 1
+    for k in range(1, deg + 1):
+        power *= b
+        r[k] *= power
+    return _reduced(r, den * power)
+
+
+def ipoly_reverse(p: IPoly, degree: int) -> IPoly:
+    """z**degree * p(1/z); requires degree >= deg(p)."""
+    cs, den = p
+    if len(cs) - 1 > degree:
+        raise PreconditionError("reversal degree below polynomial degree")
+    return _reduced([0] * (degree + 1 - len(cs)) + cs[::-1], den)
+
+
+def iseries_div(num: IPoly, den: IPoly, order: int) -> IPoly:
+    """num/den as a power series to t**order; den(0) != 0.
+
+    With integer parts n and q of num and den, H_k = q0**(k+1) (n/q)_k is
+    an integer: H_k = q0**k n_k - sum_{j>=1} q_j q0**(j-1) H_{k-j}
+    (fraction-free, as in Bareiss elimination).  The result is returned
+    over the one denominator q0**(order+1)."""
+    (ns, dn), (qs, dq) = num, den
+    if not qs or qs[0] == 0:
+        raise PreconditionError("series division needs a unit constant term")
+    q0 = qs[0]
+    weights = [0]
+    for qj in qs[1: order + 1]:
+        weights.append(qj * q0 ** (len(weights) - 1))
+    out: list[int] = []
+    power = 1  # q0**k
+    for k in range(order + 1):
+        acc = ns[k] * power if k < len(ns) else 0
+        for j in range(1, min(k, len(weights) - 1) + 1):
+            acc -= weights[j] * out[k - j]
+        out.append(acc)
+        power *= q0
+    # H_k * q0**(order-k) over q0**(order+1), times dq/dn
+    scale = 1
+    for k in range(order, -1, -1):
+        out[k] *= scale * dq
+        scale *= q0
+    if scale < 0:
+        out, scale = [-c for c in out], -scale
+    return _reduced(out, scale * dn)
+
+
+def ipoly_pdivmod(a: list, b: list) -> tuple[list, list]:
+    """Pseudo-division of integer polynomials: q, r with
+    lc(b)**(deg a - deg b + 1) * a = q*b + r and deg r < deg b."""
+    if not b:
+        raise ZeroDivisionError("polynomial division by zero")
+    db, lead = len(b) - 1, b[-1]
+    steps = len(a) - db
+    if steps <= 0:
+        return [], list(a)
+    q = [0] * steps
+    r = list(a)
+    while len(r) - 1 >= db:
+        shift, c = len(r) - 1 - db, r[-1]
+        q = [v * lead for v in q]
+        q[shift] += c
+        r = [v * lead for v in r]
+        for i, e in enumerate(b):
+            r[i + shift] -= c * e
+        while r and r[-1] == 0:
+            r.pop()
+        steps -= 1
+    if steps:
+        f = lead**steps
+        q, r = [v * f for v in q], [v * f for v in r]
+    return q, r
+
+
+def ipoly_euclid(a: list, b: IPoly):
+    """The extended Euclidean remainder sequence of a and b by
+    pseudo-division: yields integer polynomials (r, t) with t*b = r mod a,
+    starting at (den*b, den) and ending at the first zero remainder.  Each
+    remainder and its cofactor are divided by their joint content instead
+    of being made monic, so r/t is the monic run's r/t at every step."""
+    r0, r1, t0, t1 = a, b[0], [], [b[1]]
+    yield r1, t1
+    while r1:
+        q, r = ipoly_pdivmod(r0, r1)
+        lead = r1[-1] ** (len(r0) - len(r1) + 1)
+        t = ipoly_add(([v * lead for v in t0], 1), ipoly_mul((q, 1), (t1, 1)), -1)[0]
+        g = math.gcd(*r, *t)
+        r0, r1, t0, t1 = r1, [v // g for v in r], t1, [v // g for v in t]
+        yield r1, t1
 
 
 # ---------------------------------------------------------------------------

@@ -14,15 +14,7 @@ from fractions import Fraction
 from typing import Sequence, Union
 
 from .errors import PreconditionError, ProblemFormatError
-from .exact import (
-    Poly,
-    format_rational,
-    poly,
-    poly_deg,
-    poly_reverse,
-    poly_shift,
-    series_div,
-)
+from .exact import format_rational, ipoly, ipoly_fractions, ipoly_reverse, ipoly_shift, iseries_div
 
 #: Coordinate of the point at infinity.
 INFINITY = math.inf
@@ -100,25 +92,25 @@ def expand_rational_at_point(num, den, point: MarkedPoint, order: int) -> LocalS
     """
     if order < 0:
         raise PreconditionError("expansion order must be >= 0")
-    num_p, den_p = poly(num), poly(den)
-    if not den_p:
+    num_p, den_p = ipoly(num), ipoly(den)
+    if not den_p[0]:
         raise PreconditionError("zero denominator polynomial")
-    if not num_p:
+    if not num_p[0]:
         return LocalSeries(point.id, (Fraction(0),) * (order + 1))
     if point.is_infinite:
         # t = 1/z: divide the degree-D reversals, D = max(deg num, deg den)
-        deg = max(poly_deg(num_p), poly_deg(den_p))
-        num_t = poly_reverse(num_p, deg)
-        den_t = poly_reverse(den_p, deg)
+        deg = max(len(num_p[0]), len(den_p[0])) - 1
+        num_t = ipoly_reverse(num_p, deg)
+        den_t = ipoly_reverse(den_p, deg)
     else:
-        num_t = poly_shift(num_p, point.coordinate)
-        den_t = poly_shift(den_p, point.coordinate)
-    if not den_t or den_t[0] == 0:
+        num_t = ipoly_shift(num_p, point.coordinate)
+        den_t = ipoly_shift(den_p, point.coordinate)
+    if den_t[0][0] == 0:
         raise PreconditionError(
             f"pole at the marked point {coordinate_str(point.coordinate)}"
         )
-    coeffs = series_div(num_t, den_t, order)
-    return LocalSeries(point.id, tuple(coeffs))
+    coeffs = ipoly_fractions(iseries_div(num_t, den_t, order), order + 1)
+    return LocalSeries(point.id, coeffs)
 
 
 def check_distinct_points(points: Sequence[MarkedPoint]) -> None:

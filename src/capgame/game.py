@@ -157,12 +157,12 @@ def game_value(matrix) -> GameValueResult:
     """
     rows = rationalize_matrix(matrix)
     n = len(rows)
-    cols = [j for j in range(n) if all(r[j] != INF for r in rows)]
-    if not cols:
+    cols, solved = _solve_finite_columns(rows)
+    if solved is None:
         bary = Strategy.uniform(n)
         return GameValueResult(INF, bary, None, tuple(_column_payoffs(rows, bary.weights)))
 
-    value, x, y_sub = lp.solve([[r[j] for j in cols] for r in rows])
+    value, x, y_sub = solved
     y = [Fraction(0)] * n
     for j, w in zip(cols, y_sub):
         y[j] = w
@@ -173,6 +173,13 @@ def game_value(matrix) -> GameValueResult:
         x = _blend(x, Fraction(1, 2**k))
         certificate = tuple(_column_payoffs(rows, x))
     return GameValueResult(value, Strategy(x), Strategy(tuple(y)), certificate)
+
+
+def _solve_finite_columns(rows) -> tuple:
+    """The columns C free of +infinity, and lp.solve on all rows times C
+    (None when C is empty)."""
+    cols = [j for j in range(len(rows)) if all(r[j] != INF for r in rows)]
+    return cols, lp.solve([[r[j] for j in cols] for r in rows]) if cols else None
 
 
 def _blend(x, eps) -> tuple:
@@ -224,7 +231,9 @@ def rational_strategy(matrix, v_prime, result: Optional[GameValueResult] = None)
     column: the blend (1 - eps) x* + eps u of the LP maximizer with the
     barycenter for the largest eps = 2**-k, 1 <= k <= 200, whose column
     payoffs all exceed v_prime (found in closed form), with coordinates then
-    simplified by continued fractions and re-verified."""
+    simplified by continued fractions and re-verified.  When x* is itself
+    game_value's blend (its certificate falls short of V) and no such eps
+    exists for it, the unblended LP maximizer is blended instead."""
     rows = rationalize_matrix(matrix)
     n = len(rows)
     v_prime = Fraction(v_prime)
@@ -239,12 +248,26 @@ def rational_strategy(matrix, v_prime, result: Optional[GameValueResult] = None)
             return bary
         raise ComputationError("barycenter fails to certify an infinite value")
 
-    k = _blend_exponent(rows, result.x_star.weights, v_prime, strict=True)
+    cand = _blend_beating(rows, result.x_star.weights, v_prime)
+    if cand is None and result.certificate and min(result.certificate) < result.value:
+        # x_star is game_value's blend, whose floor sits up to 1e-9 below V:
+        # blend the LP maximizer on the infinity-free columns instead
+        _, (_, x, _) = _solve_finite_columns(rows)
+        cand = _blend_beating(rows, x, v_prime)
+    if cand is None:
+        raise ComputationError("failed to construct a strictly positive strategy")
+    return _simplify_strategy(rows, cand, v_prime)
+
+
+def _blend_beating(rows, x, v_prime: Fraction) -> Optional[tuple]:
+    """The blend (1 - eps) x + eps u with the largest eps = 2**-k,
+    1 <= k <= 200, that beats v_prime on every column, or None."""
+    k = _blend_exponent(rows, x, v_prime, strict=True)
     if k is not None and k <= 200:
-        cand = _blend(result.x_star.weights, Fraction(1, 2**k))
+        cand = _blend(x, Fraction(1, 2**k))
         if _beats(rows, cand, v_prime):
-            return _simplify_strategy(rows, cand, v_prime)
-    raise ComputationError("failed to construct a strictly positive strategy")
+            return cand
+    return None
 
 
 def _beats(rows, weights, v_prime: Fraction) -> bool:

@@ -193,9 +193,19 @@ def gauge_shift(
             if len(rows) != len(a):
                 raise PreconditionError("scaling vector does not match matrix size")
             for i, ai in enumerate(a):
-                rows[i][i] -= math.log(abs(float(ai)))
+                rows[i][i] -= _log_abs(ai)
             out.append(tuple(tuple(r) for r in rows))
     return out
+
+
+def _log_abs(q: Fraction) -> float:
+    """log|q|, taken on the numerator and denominator only when q is beyond
+    the float range (float(q) overflows or rounds to zero)."""
+    try:
+        f = float(q)
+    except OverflowError:
+        f = 0.0
+    return math.log(abs(f)) if f else math.log(abs(q.numerator)) - math.log(q.denominator)
 
 
 def irreducibility(matrix) -> bool:

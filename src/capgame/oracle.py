@@ -19,20 +19,23 @@ from .errors import PreconditionError
 from .exact import (
     F0,
     F1,
+    IPoly,
     determinant,
     format_rational,
+    ipoly,
+    ipoly_add,
+    ipoly_euclid,
+    ipoly_mul,
+    ipoly_reverse,
+    ipoly_shift,
+    iseries_div,
     nullspace,
     poly,
-    poly_add,
     poly_deg,
-    poly_gcd,
     poly_divmod,
+    poly_gcd,
     poly_mul,
-    poly_reverse,
     poly_scale,
-    poly_shift,
-    poly_sub,
-    series_div,
 )
 from .formal import LocalSeries, MarkedPoint, check_distinct_points, expand_rational_at_point
 
@@ -187,22 +190,29 @@ def multipoint_reconstruct(jets: Sequence[LocalSeries], d: int,
     return _reconstruct(jets, points, d)
 
 
-def _moebius_jet(coeffs: tuple, a: Fraction, b: Fraction) -> list:
-    """The jet sum_k c_k t^k rewritten in s, where t = a*s / (1 + b*s).
+def _moebius_jet(coeffs: tuple, a, b) -> IPoly:
+    """The jet sum_k c_k t^k rewritten in s, where t = a*s / (1 + b*s), as
+    integers over one denominator.
 
     The coefficient of s^n in (a*s)^k (1 + b*s)^(-k) is
-    a^k (-b)^(n-k) C(n-1, k-1) for 1 <= k <= n."""
+    a^k (-b)^(n-k) C(n-1, k-1) for 1 <= k <= n, which is
+    alpha^k beta^(n-k) C(n-1, k-1) / gamma^n with a = a1/a2, b = b1/b2,
+    alpha = a1*b2, beta = -b1*a2 and gamma = a2*b2."""
+    cs, den = ipoly(coeffs)
     order = len(coeffs) - 1
-    a_pow = [F1]
-    b_pow = [F1]
+    alpha = a.numerator * b.denominator
+    beta = -b.numerator * a.denominator
+    gamma = a.denominator * b.denominator
+    a_pow, b_pow, g_pow = [1], [1], [1]
     for _ in range(order):
-        a_pow.append(a_pow[-1] * a)
-        b_pow.append(b_pow[-1] * -b)
-    out = [coeffs[0]]
+        a_pow.append(a_pow[-1] * alpha)
+        b_pow.append(b_pow[-1] * beta)
+        g_pow.append(g_pow[-1] * gamma)
+    out = [cs[0] * g_pow[order] if cs else 0]
     for n in range(1, order + 1):
-        out.append(sum(coeffs[k] * a_pow[k] * b_pow[n - k] * comb(n - 1, k - 1)
-                       for k in range(1, n + 1) if coeffs[k] != 0))
-    return out
+        out.append(g_pow[order - n] * sum(cs[k] * a_pow[k] * b_pow[n - k] * comb(n - 1, k - 1)
+                                          for k in range(1, min(n, len(cs) - 1) + 1) if cs[k]))
+    return out, den * g_pow[order]
 
 
 def _reconstruct(jets: Sequence[LocalSeries], points: Sequence[MarkedPoint],
@@ -216,7 +226,9 @@ def _reconstruct(jets: Sequence[LocalSeries], points: Sequence[MarkedPoint],
     extended Euclidean algorithm on (M, F) runs to the first remainder r of
     degree <= d, with cofactor t (t*F = r mod M).  A function of degree <= d
     matching the data equals r/t (von zur Gathen and Gerhard, Modern
-    Computer Algebra, Thm 5.16 with k = d + 1)."""
+    Computer Algebra, Thm 5.16 with k = d + 1).  Both steps run on integer
+    polynomials over one denominator (see `exact`); the Euclidean run keeps
+    its remainders primitive, which changes r and t by the same scalar."""
     remaining = 2 * d + 2
     c = None
     if any(pt.is_infinite for pt in points):
@@ -229,37 +241,32 @@ def _reconstruct(jets: Sequence[LocalSeries], points: Sequence[MarkedPoint],
             break
         remaining -= len(coeffs)
         if c is None:
-            nodes.append((pt.coordinate, coeffs))
+            nodes.append((pt.coordinate, len(coeffs), ipoly(coeffs)))
         elif pt.is_infinite:
-            nodes.append((F0, _moebius_jet(coeffs, F1, c)))
+            nodes.append((F0, len(coeffs), _moebius_jet(coeffs, F1, c)))
         else:
             u = pt.coordinate - c
-            nodes.append((1 / u, _moebius_jet(coeffs, -u * u, u)))
+            nodes.append((1 / u, len(coeffs), _moebius_jet(coeffs, -u * u, u)))
 
-    # Hermite CRT: F <- F + M*h with M*h = jet - F mod (z - x)^n at each node
-    f, m = (), (F1,)
-    for x, coeffs in nodes:
-        n = len(coeffs)
-        h = series_div(poly_sub(poly(coeffs), poly_shift(f, x)), poly_shift(m, x), n - 1)
-        f = poly_add(f, poly_mul(m, poly_shift(poly(h), -x)))
-        m = poly_mul(m, poly_shift((F0,) * n + (F1,), -x))
+    # Hermite CRT on integer polynomials: F <- F + M*h with M*h = jet - F
+    # mod (z - x)**n at each node; M is kept primitive as a product of
+    # (b*z - a)**n, x = a/b, which leaves F unchanged
+    f, m = ([], 1), ([1], 1)
+    for x, n, jet in nodes:
+        h = iseries_div(ipoly_add(jet, ipoly_shift(f, x), -1), ipoly_shift(m, x), n - 1)
+        f = ipoly_add(f, ipoly_mul(m, ipoly_shift(h, -x)))
+        m = ipoly_mul(m, (ipoly_shift(([0] * n + [1], 1), -x)[0], 1))
 
-    # remainders kept monic (r and t scaled alike) against coefficient swell
-    r0, r1, t0, t1 = m, f, (), (F1,)
-    while poly_deg(r1) > d:
-        q, r = poly_divmod(r0, r1)
-        t = poly_sub(t0, poly_mul(q, t1))
-        if r:
-            inv = 1 / r[-1]
-            r, t = poly_scale(r, inv), poly_scale(t, inv)
-        r0, r1, t0, t1 = r1, r, t1, t
-    if poly_deg(t1) > d:
+    # extended Euclid on (M, F) to the first remainder of degree <= d
+    for num, den in ipoly_euclid(m[0], f):
+        if len(num) - 1 <= d:
+            break
+    if len(den) - 1 > d:
         return None
-    num, den = r1, t1
     if c is not None:
-        # z = c + 1/w: multiply through by (z - c)^D
-        deg = max(poly_deg(num), poly_deg(den))
-        num, den = (poly_shift(poly_reverse(p, deg), -c) for p in (num, den))
+        # z = c + 1/w: multiply through by (z - c)**D
+        deg = max(len(num), len(den)) - 1
+        num, den = (ipoly_shift(ipoly_reverse((p, 1), deg), -c)[0] for p in (num, den))
     candidate = RationalFunction(num, den)
     if all(_matches_jet(candidate, pt, _coefficients(j)) for j, pt in zip(jets, points)):
         return candidate

@@ -395,6 +395,18 @@ def test_cli_large_prime_scaling_is_fast(tmp_path):
     assert "p=1000000000000000003" in json.loads(res.stdout)["matrix"]["places"]
 
 
+def test_cli_scaling_above_float_range_exit_0(tmp_path):
+    res = _check_scaling(tmp_path, "1" + "0" * 400)
+    assert res.returncode == 0, res.stderr
+    assert json.loads(res.stdout)["matrix"]["places"] == ["real", "p=2", "p=5"]
+
+
+def test_cli_scaling_below_float_range_exit_0(tmp_path):
+    res = _check_scaling(tmp_path, "1/1" + "0" * 400)
+    assert res.returncode == 0, res.stderr
+    assert json.loads(res.stdout)["matrix"]["places"] == ["real", "p=2", "p=5"]
+
+
 def test_cli_unfactorable_scaling_exit_4(tmp_path):
     res = _check_scaling(tmp_path, str(999999999989 * 1000000000039))
     assert res.returncode == 4

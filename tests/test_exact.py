@@ -1,3 +1,5 @@
+import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -6,7 +8,15 @@ from capgame.errors import PreconditionError
 from capgame.exact import (
     determinant,
     format_rational,
+    ipoly,
+    ipoly_add,
+    ipoly_euclid,
+    ipoly_fractions,
+    ipoly_mul,
+    ipoly_pdivmod,
+    ipoly_shift,
     is_prime,
+    iseries_div,
     matrix_rank,
     nullspace,
     padic_valuation,
@@ -161,3 +171,194 @@ def test_linear_algebra():
         assert sum(a * b for a, b in zip(row, v)) == 0
     assert determinant([[F(1), F(2)], [F(3), F(4)]]) == F(-2)
     assert determinant([[F(1), F(2)], [F(2), F(4)]]) == 0
+
+
+# --- integer polynomial core against plain Fraction computations ---------------
+
+
+def trim(cs):
+    cs = list(cs)
+    while cs and cs[-1] == 0:
+        cs.pop()
+    return tuple(cs)
+
+
+def fraction_mul(p, q):
+    out = [F(0)] * max(len(p) + len(q) - 1, 0)
+    for i, a in enumerate(p):
+        for j, b in enumerate(q):
+            out[i + j] += a * b
+    return trim(out)
+
+
+def fraction_shift(p, a):
+    """p(t + a) by Horner's rule, out <- out*(t + a) + c."""
+    out = []
+    for c in reversed(p):
+        new = [F(0)] * (len(out) + 1)
+        for i, v in enumerate(out):
+            new[i + 1] += v
+            new[i] += a * v
+        new[0] += c
+        out = new
+    return trim(out)
+
+
+def fraction_series_div(num, den, order):
+    out = []
+    for k in range(order + 1):
+        acc = num[k] if k < len(num) else F(0)
+        for j in range(1, min(k, len(den) - 1) + 1):
+            acc -= den[j] * out[k - j]
+        out.append(acc / den[0])
+    return out
+
+
+def fraction_divmod(a, b):
+    q = [F(0)] * max(len(a) - len(b) + 1, 0)
+    r = list(a)
+    while len(r) >= len(b):
+        coeff, shift = r[-1] / b[-1], len(r) - len(b)
+        q[shift] = coeff
+        for i, c in enumerate(b):
+            r[i + shift] -= coeff * c
+        r = list(trim(r))
+    return trim(q), tuple(r)
+
+
+def monic_euclid(a, b):
+    """The extended Euclidean sequence over Fraction with monic remainders."""
+    r0, r1, t0, t1 = a, b, (), (F(1),)
+    yield r1, t1
+    while r1:
+        q, r = fraction_divmod(r0, r1)
+        prod = fraction_mul(q, t1)
+        t = trim((t0[i] if i < len(t0) else 0) - (prod[i] if i < len(prod) else 0)
+                 for i in range(max(len(t0), len(prod))))
+        if r:
+            r, t = tuple(v / r[-1] for v in r), tuple(v / r[-1] for v in t)
+        r0, r1, t0, t1 = r1, r, t1, t
+        yield r1, t1
+
+
+# nodes: zero, negative, non-integer, and with a large denominator
+NODES = [F(0), F(-3), F(2), F(-7, 3), F(5, 2), F(11, 10**20 + 39)]
+DENOMINATORS = [1, 1, 2, 3, 7, 12, 10**25 + 13]
+
+
+def random_fraction_poly(rng, max_len=8):
+    """Random trimmed Fraction coefficients, the zero polynomial included."""
+    return trim(F(rng.randint(-9, 9), rng.choice(DENOMINATORS))
+                for _ in range(rng.randint(0, max_len)))
+
+
+def is_reduced(p):
+    cs, den = p
+    return den > 0 and math.gcd(den, *cs) == 1 and (not cs or cs[-1] != 0)
+
+
+def test_ipoly_round_trip():
+    rng = random.Random(401)
+    for _ in range(100):
+        p = random_fraction_poly(rng)
+        ip = ipoly(p)
+        assert is_reduced(ip)
+        assert ipoly_fractions(ip) == p
+    assert ipoly([]) == ([], 1)
+    assert ipoly_fractions(([], 1), 3) == (F(0), F(0), F(0))
+
+
+def test_integer_taylor_shift_matches_fractions():
+    rng = random.Random(402)
+    for _ in range(300):
+        p = random_fraction_poly(rng)
+        a = rng.choice(NODES + [F(rng.randint(-20, 20), rng.randint(1, 9))])
+        got = ipoly_shift(ipoly(p), a)
+        assert is_reduced(got)
+        assert ipoly_fractions(got) == fraction_shift(p, a)
+        assert poly_shift(p, a) == fraction_shift(p, a)
+
+
+def test_integer_series_division_matches_fractions():
+    rng = random.Random(403)
+    for _ in range(300):
+        num = random_fraction_poly(rng)
+        den = (F(rng.choice([1, -1, 2, -3]), rng.choice(DENOMINATORS)),) + \
+            random_fraction_poly(rng, 5)
+        order = rng.randint(0, 10)
+        want = fraction_series_div(num, den, order)
+        got = iseries_div(ipoly(num), ipoly(den), order)
+        assert is_reduced(got)
+        assert ipoly_fractions(got, order + 1) == tuple(want)
+        assert series_div(num, den, order) == want
+    with pytest.raises(PreconditionError):
+        iseries_div(ipoly([1]), ipoly([0, 1]), 3)
+
+
+def test_integer_product_and_sum_match_fractions():
+    rng = random.Random(404)
+    for _ in range(300):
+        p, q = random_fraction_poly(rng), random_fraction_poly(rng)
+        n = max(len(p), len(q))
+        pad = [(p[i] if i < len(p) else 0, q[i] if i < len(q) else 0) for i in range(n)]
+        for got, want in ((ipoly_mul(ipoly(p), ipoly(q)), fraction_mul(p, q)),
+                          (ipoly_add(ipoly(p), ipoly(q)), trim(a + b for a, b in pad)),
+                          (ipoly_add(ipoly(p), ipoly(q), -1), trim(a - b for a, b in pad))):
+            assert is_reduced(got)
+            assert ipoly_fractions(got) == want
+        assert poly_mul(p, q) == fraction_mul(p, q)
+
+
+def test_pseudo_division_matches_fractions():
+    rng = random.Random(405)
+    for _ in range(300):
+        a, b = random_fraction_poly(rng), random_fraction_poly(rng, 5)
+        if not b:
+            continue
+        (acs, _), (bcs, _) = ipoly(a), ipoly(b)
+        q, r = ipoly_pdivmod(acs, bcs)
+        lead = bcs[-1] ** max(len(acs) - len(bcs) + 1, 0)
+        prod = fraction_mul(tuple(map(F, q)), tuple(map(F, bcs)))
+        assert trim(lead * F(v) for v in acs) == trim(
+            (prod[i] if i < len(prod) else 0) + (r[i] if i < len(r) else 0)
+            for i in range(max(len(prod), len(r))))
+        assert len(r) < len(bcs)
+        assert poly_divmod(a, b) == fraction_divmod(a, b)
+    with pytest.raises(ZeroDivisionError):
+        ipoly_pdivmod([1, 2], [])
+
+
+def test_euclid_matches_the_monic_run_at_every_step():
+    rng = random.Random(406)
+    for _ in range(200):
+        # a modulus as in the oracle: a product of (b*z - a)**n over nodes
+        m = [1]
+        for x in rng.sample(NODES, rng.randint(1, 3)):
+            factor = [-x.numerator, x.denominator]
+            for _ in range(rng.randint(1, 4)):
+                m = ipoly_mul((m, 1), (factor, 1))[0]
+        f = random_fraction_poly(rng, len(m) - 1)
+        steps = list(ipoly_euclid(m, ipoly(f)))
+        reference = list(monic_euclid(tuple(map(F, m)), f))
+        assert len(steps) == len(reference)
+        for (r, t), (r_monic, t_monic) in zip(steps, reference):
+            # the same r/t: one scalar carries the monic pair onto the integer one
+            scale = F(r[-1]) / r_monic[-1] if r else F(t[-1]) / t_monic[-1]
+            assert tuple(map(F, r)) == tuple(scale * v for v in r_monic)
+            assert tuple(map(F, t)) == tuple(scale * v for v in t_monic)
+            assert math.gcd(*r, *t) == 1 or (r, t) == steps[0]
+
+
+def test_poly_gcd_matches_the_monic_run():
+    rng = random.Random(407)
+    for _ in range(200):
+        common = random_fraction_poly(rng, 3)
+        a = poly_mul(common, random_fraction_poly(rng, 4))
+        b = poly_mul(common, random_fraction_poly(rng, 4))
+        last = ()
+        for r, _ in monic_euclid(a, b):
+            last = r or last
+        want = tuple(v / last[-1] for v in last) if last else ()
+        if not b:
+            want = tuple(v / a[-1] for v in a) if a else ()
+        assert poly_gcd(a, b) == want

@@ -4,7 +4,7 @@ from math import factorial
 
 import pytest
 
-import capgame.oracle
+import capgame.exact
 from capgame.errors import PreconditionError
 from capgame.exact import nullspace, poly, poly_deg, poly_reverse, poly_shift
 from capgame.formal import INFINITY, LocalSeries, MarkedPoint, expand_rational_at_point
@@ -370,13 +370,13 @@ def test_reconstruction_reads_only_2cap_plus_2_conditions(monkeypatch):
     # 14 points with order-5 jets and cap 1: the Euclidean run starts from
     # a modulus of degree 4, not 84
     degrees = []
-    real_divmod = capgame.oracle.poly_divmod
+    real_pdivmod = capgame.exact.ipoly_pdivmod
 
     def spy(a, b):
-        degrees.append(poly_deg(a))
-        return real_divmod(a, b)
+        degrees.append(len(a) - 1)
+        return real_pdivmod(a, b)
 
-    monkeypatch.setattr(capgame.oracle, "poly_divmod", spy)
+    monkeypatch.setattr(capgame.exact, "ipoly_pdivmod", spy)
     f = RationalFunction((1, 2), (3, 1))
     points = [MarkedPoint(i, F(i + 1)) for i in range(13)] + [MarkedPoint(13, INFINITY)]
     jets = [f.jet(pt, 5) for pt in points]
