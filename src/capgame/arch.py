@@ -23,8 +23,9 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from fractions import Fraction
+from functools import cached_property, wraps
 from types import SimpleNamespace
 from typing import Mapping, Optional, Sequence, Union
 
@@ -32,8 +33,15 @@ from .errors import PreconditionError, ProblemFormatError
 from .formal import INFINITY, MarkedPoint, coordinate_str, is_infinite
 
 
+class _Component:
+    @cached_property
+    def floats(self) -> tuple:
+        """(center, radius) or (a, b) as floats, computed once."""
+        return tuple(float(getattr(self, f.name)) for f in fields(self))
+
+
 @dataclass(frozen=True)
-class Disk:
+class Disk(_Component):
     center: Fraction
     radius: Fraction
 
@@ -49,7 +57,7 @@ class Disk:
 
 
 @dataclass(frozen=True)
-class ExteriorDisk:
+class ExteriorDisk(_Component):
     """The region |z - c| > R, including the point at infinity."""
 
     center: Fraction
@@ -67,7 +75,7 @@ class ExteriorDisk:
 
 
 @dataclass(frozen=True)
-class IntervalComplement:
+class IntervalComplement(_Component):
     """P^1 minus a real segment [a, b]; contains the point at infinity."""
 
     a: Fraction
@@ -297,14 +305,10 @@ def _component_green(xp, comp: Component, pole, z):
     if isinstance(comp, Disk):
         if pole is None:
             raise PreconditionError("a bounded disk does not contain infinity")
-        return _disk_green_values(
-            xp, float(comp.center), float(comp.radius), complex(pole), z
-        )
+        return _disk_green_values(xp, *comp.floats, complex(pole), z)
     if isinstance(comp, ExteriorDisk):
-        return _exterior_green_values(
-            xp, float(comp.center), float(comp.radius), pole, z
-        )
-    return _interval_green_values(xp, float(comp.a), float(comp.b), pole, z)
+        return _exterior_green_values(xp, *comp.floats, pole, z)
+    return _interval_green_values(xp, *comp.floats, pole, z)
 
 
 def _green_at_infinity(comp: Component, pole: complex) -> float:
@@ -313,23 +317,43 @@ def _green_at_infinity(comp: Component, pole: complex) -> float:
         raise PreconditionError("infinity is outside a bounded disk")
     if isinstance(comp, ExteriorDisk):
         # m(infinity) = center
-        unit = _radius_unit(float(comp.radius))
-        c, r = float(comp.center) / unit, float(comp.radius) / unit
+        unit = _radius_unit(comp.floats[1])
+        c, r = (v / unit for v in comp.floats)
         m_pole = c + _point_div(r * r, pole / unit - c)
         return _disk_green_values(_POINT, c, r, m_pole, complex(c))
-    a, b = float(comp.a), float(comp.b)
+    a, b = comp.floats
     psi_w = _inverse_joukowski(_POINT, _point_div(2.0 * pole - a - b, b - a))
     return _point_log(_point_abs(psi_w))
 
 
 def _closure_contains_complex(comp: Component, z: complex, tol: float = 1e-9) -> bool:
     if isinstance(comp, Disk):
-        return _point_abs(z - complex(comp.center)) <= float(comp.radius) * (1 + tol)
+        return _point_abs(z - comp.floats[0]) <= comp.floats[1] * (1 + tol)
     if isinstance(comp, ExteriorDisk):
-        return _point_abs(z - complex(comp.center)) >= float(comp.radius) * (1 - tol)
+        return _point_abs(z - comp.floats[0]) >= comp.floats[1] * (1 - tol)
     return True  # the closure of an interval complement is all of P^1
 
 
+def _float_range(fn):
+    """fn, with an OverflowError of its float conversions raised as a PreconditionError."""
+    @wraps(fn)
+    def checked(*args, **kwargs):
+        try:
+            return fn(*args, **kwargs)
+        except OverflowError as exc:
+            raise PreconditionError("not computable in floating point: a coordinate or a "
+                                    f"domain parameter lies beyond the float range ({exc})") from exc
+    return checked
+
+
+def _pole_frame(domain: ArchDomain, pole) -> tuple:
+    """The domain's components, the one containing the pole, and the pole as
+    a complex number (None at infinity): what every value at this pole shares."""
+    comps = components_of(domain)
+    return comps, comps[locate_component(domain, pole)], None if is_infinite(pole) else complex(pole)
+
+
+@_float_range
 def green(domain: ArchDomain, pole, z) -> float:
     """Green function of the domain with the given pole, evaluated at z.
 
@@ -337,13 +361,14 @@ def green(domain: ArchDomain, pole, z) -> float:
     the domain; `z` is a complex number (or INFINITY) in the closure, z != pole.
     Across distinct components of a union the value is 0.
     """
-    pole_idx = locate_component(domain, pole)
-    comps = components_of(domain)
-    comp = comps[pole_idx]
-    pole_arg = None if is_infinite(pole) else complex(Fraction(pole))
+    return _green_from(_pole_frame(domain, pole), z)
 
+
+def _green_from(frame: tuple, z) -> float:
+    """`green` at z, given the pole's `_pole_frame`."""
+    comps, comp, pole_arg = frame
     if is_infinite(z):
-        if is_infinite(pole):
+        if pole_arg is None:
             raise PreconditionError("evaluation point equals the pole")
         if not comp.contains_infinity:
             return 0.0 if any(c.contains_infinity for c in comps) else _outside(z)
@@ -366,6 +391,7 @@ def _outside(z):
     raise PreconditionError(f"evaluation point {z} is outside the domain closure")
 
 
+@_float_range
 def robin_constant(domain: ArchDomain, pole, convention: Optional[str] = None) -> float:
     """Finite limit of g(z) + log|t(z)| as z approaches the pole.
 
@@ -378,10 +404,33 @@ def robin_constant(domain: ArchDomain, pole, convention: Optional[str] = None) -
         raise PreconditionError(
             f"parameter convention {convention!r} does not match the pole"
         )
-    idx = locate_component(domain, pole)
-    comp = components_of(domain)[idx]
+    return _robin_from(_pole_frame(domain, pole), pole)
+
+
+def _robin_from(frame: tuple, pole) -> float:
+    """`robin_constant` at the pole, given its `_pole_frame`."""
+    comp, p = frame[1], frame[2]
     try:
-        return _component_robin(comp, pole)
+        if isinstance(comp, Disk):
+            unit = _radius_unit(comp.floats[1])
+            w, r = (comp.floats[0] - p.real) / unit, comp.floats[1] / unit
+            # g + log|z - w| -> log((R^2 - |w - c|^2) / R)
+            return math.log((r * r - w * w) / r * unit)
+        if isinstance(comp, ExteriorDisk):
+            if p is None:
+                # g(z) = log(|z - c| / R), so g - log|z| -> -log R
+                return -math.log(float(comp.radius))
+            unit = _radius_unit(comp.floats[1])
+            d, r = abs(p.real - comp.floats[0]) / unit, comp.floats[1] / unit
+            return math.log((d * d - r * r) / r * unit)
+        a, b = comp.floats
+        if p is None:
+            # capacity of [a, b] is (b - a)/4
+            return math.log(4.0 / (b - a))
+        phi = (2.0 * p.real - a - b) / (b - a)
+        psi = abs(_inverse_joukowski(_POINT, complex(phi)))
+        dpsi = (2.0 / (b - a)) * psi / math.sqrt(phi * phi - 1.0)
+        return math.log((psi * psi - 1.0) / dpsi)
     except (ZeroDivisionError, ValueError) as exc:
         # a division by zero or a log/sqrt outside its domain: exact data
         # that differ (a radius and 0, a pole and the center or an endpoint,
@@ -392,54 +441,24 @@ def robin_constant(domain: ArchDomain, pole, convention: Optional[str] = None) -
         ) from exc
 
 
-def _component_robin(comp: Component, pole) -> float:
-    if isinstance(comp, Disk):
-        unit = _radius_unit(float(comp.radius))
-        w = (float(comp.center) - float(Fraction(pole))) / unit
-        r = float(comp.radius) / unit
-        # g + log|z - w| -> log((R^2 - |w - c|^2) / R)
-        return math.log((r * r - w * w) / r * unit)
-
-    if isinstance(comp, ExteriorDisk):
-        r = float(comp.radius)
-        if is_infinite(pole):
-            # g(z) = log(|z - c| / R), so g - log|z| -> -log R
-            return -math.log(r)
-        unit = _radius_unit(r)
-        d = abs(float(Fraction(pole)) - float(comp.center)) / unit
-        r /= unit
-        return math.log((d * d - r * r) / r * unit)
-
-    a, b = float(comp.a), float(comp.b)
-    if is_infinite(pole):
-        # capacity of [a, b] is (b - a)/4
-        return math.log(4.0 / (b - a))
-    phi = (2.0 * float(Fraction(pole)) - a - b) / (b - a)
-    psi = abs(_inverse_joukowski(_POINT, complex(phi)))
-    dpsi = (2.0 / (b - a)) * psi / math.sqrt(phi * phi - 1.0)
-    return math.log((psi * psi - 1.0) / dpsi)
-
-
+@_float_range
 def arch_matrix(assignment: ArchDomainAssignment, points: Sequence[MarkedPoint]) -> tuple:
     """The per-place matrix at the real place, indexed by sorted point id.
 
     Off-diagonal (i, j) is the Green value with pole at point i evaluated at
     point j (zero across distinct components); the diagonal holds the Robin
-    constant in the canonical parameter.  Tangent scalings are applied by
-    `gamematrix.gauge_shift`.
+    constant in the canonical parameter.  Each row locates its pole once.
+    Tangent scalings are applied by `gamematrix.gauge_shift`.
     """
     pts = sorted(points, key=lambda p: p.id)
-    n = len(pts)
-    rows = [[0.0] * n for _ in range(n)]
+    zs = [INFINITY if p.is_infinite else complex(p.coordinate) for p in pts]
+    rows = []
     for i, pi in enumerate(pts):
         assignment.component_index(pi.id)  # placement must cover every point
-        rows[i][i] = robin_constant(assignment.domain, pi.coordinate)
-        for j, pj in enumerate(pts):
-            if i == j:
-                continue
-            zj = INFINITY if pj.is_infinite else complex(pj.coordinate)
-            rows[i][j] = green(assignment.domain, pi.coordinate, zj)
-    return tuple(tuple(r) for r in rows)
+        frame = _pole_frame(assignment.domain, pi.coordinate)
+        diagonal = _robin_from(frame, pi.coordinate)
+        rows.append(tuple(diagonal if j == i else _green_from(frame, z) for j, z in enumerate(zs)))
+    return tuple(rows)
 
 
 # ---------------------------------------------------------------------------
@@ -477,13 +496,11 @@ class GreenDiagnostics:
 
 def _component_box(comp: Component):
     """Sampling box (x range, y range) covering the informative region."""
+    c, r = a, b = comp.floats
     if isinstance(comp, Disk):
-        c, r = float(comp.center), float(comp.radius)
         return (c - r, c + r), (-r, r)
     if isinstance(comp, ExteriorDisk):
-        c, r = float(comp.center), float(comp.radius)
         return (c - 2.5 * r, c + 2.5 * r), (-2.5 * r, 2.5 * r)
-    a, b = float(comp.a), float(comp.b)
     pad = max(b - a, 1.0)
     return (a - pad, b + pad), (-pad - 1.0, pad + 1.0)
 
@@ -501,11 +518,11 @@ def _interior_mask(comp: Component, zz, h: float):
     """Points whose full 5-point stencil stays inside the component."""
     import numpy as np
 
+    c, r = comp.floats
     if isinstance(comp, Disk):
-        return np.abs(zz - complex(comp.center)) <= float(comp.radius) - 2 * h
+        return np.abs(zz - c) <= r - 2 * h
     if isinstance(comp, ExteriorDisk):
-        r = float(comp.radius)
-        d = np.abs(zz - complex(comp.center))
+        d = np.abs(zz - c)
         return (d >= r + 2 * h) & (d <= 2.2 * r)
     # stay away from the segment (its endpoints carry the branch points)
     cut_clear = max(0.75, 5 * h)
@@ -517,9 +534,8 @@ def _boundary_samples(comp: Component, count: int = 720):
 
     if isinstance(comp, (Disk, ExteriorDisk)):
         theta = np.linspace(0.0, 2.0 * math.pi, count, endpoint=False)
-        return complex(comp.center) + float(comp.radius) * np.exp(1j * theta)
-    a, b = float(comp.a), float(comp.b)
-    return np.linspace(a, b, count).astype(complex)
+        return comp.floats[0] + comp.floats[1] * np.exp(1j * theta)
+    return np.linspace(*comp.floats, count).astype(complex)
 
 
 def validate_green(
@@ -540,10 +556,7 @@ def validate_green(
 
     if h <= 0:
         raise PreconditionError("grid step must be positive")
-    pole_idx = locate_component(domain, pole)
-    comps = components_of(domain)
-    comp = comps[pole_idx]
-    pole_arg = None if is_infinite(pole) else complex(Fraction(pole))
+    comps, comp, pole_arg = _pole_frame(domain, pole)
 
     (x0, x1), (y0, y1) = _component_box(comp)
     lap_res = bnd_res = interior_min = None

@@ -23,7 +23,7 @@ Coordinate = Union[Fraction, float]
 
 
 def is_infinite(coordinate) -> bool:
-    return coordinate == INFINITY
+    return not isinstance(coordinate, Fraction) and coordinate == INFINITY
 
 
 def coordinate_str(coordinate) -> str:

@@ -3,10 +3,10 @@
 The value V = sup_x inf_y <x, Gy> over mixed strategies is exact, and so are
 the strategies and duality certificates.  Every finite (sub-)game is solved
 by one exact LP core, `lp.solve`.  Floating-point entries are rationalized
-first by continued fractions (denominators up to 10**12); +infinity entries
-are kept symbolic.  A game with +infinity entries has the value of its
-sub-game on the infinity-free columns (see `game_value`), so it costs one
-LP like a finite game.
+first by continued fractions (denominators up to 10**12), once per game: an
+`ExactGame` holds each column on integers, so a payoff is one integer dot
+product.  +infinity entries stay symbolic; a game with them has the value of
+its sub-game on the infinity-free columns (see `game_value`).
 """
 
 from __future__ import annotations
@@ -14,7 +14,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence, Union
+from operator import mul
+from typing import Optional, Union
 
 from . import lp
 from .errors import ComputationError, PreconditionError
@@ -85,10 +86,6 @@ class GameValueResult:
         }
 
 
-def _entries(matrix) -> Sequence[Sequence]:
-    return getattr(matrix, "entries", matrix)
-
-
 def rationalize_entry(v) -> Entry:
     """Exact rationals pass through; finite floats get a continued-fraction
     approximation with bounded denominator; infinities stay infinite."""
@@ -103,41 +100,62 @@ def rationalize_entry(v) -> Entry:
         return INF
     if math.isnan(f):
         raise PreconditionError("NaN matrix entry")
-    return Fraction(f).limit_denominator(RATIONALIZE_DENOMINATOR)
+    # Fraction(f).limit_denominator(RATIONALIZE_DENOMINATOR) on integers: the closer of
+    # the last convergent p1/q1 (n/d once b = 0) and semiconvergent p2/q2, p1/q1 on a tie
+    n, d = f.as_integer_ratio()
+    p0, q0, p1, q1, a, b = 0, 1, 1, 0, n, d
+    while b and q0 + (t := a // b) * q1 <= RATIONALIZE_DENOMINATOR:
+        p0, q0, p1, q1, a, b = p1, q1, p0 + t * p1, q0 + t * q1, b, a - t * b
+    k = (RATIONALIZE_DENOMINATOR - q0) // q1
+    p2, q2 = p0 + k * p1, q0 + k * q1
+    if abs(p1 * d - n * q1) * q2 <= abs(p2 * d - n * q2) * q1:
+        return Fraction(p1, q1)
+    return Fraction(p2, q2)
 
 
-def rationalize_matrix(matrix) -> list:
-    rows = [[rationalize_entry(v) for v in row] for row in _entries(matrix)]
+class ExactGame(tuple):
+    """A rationalized square game: a tuple of rows of Fractions and INF, with
+    `columns[j]` = (numerators over the lcm of the column's finite entries,
+    0 at +infinity; that lcm; the rows where the column is +infinity)."""
+
+    def __new__(cls, rows):
+        game = super().__new__(cls, (tuple(r) for r in rows))
+        game.columns = tuple(
+            (*lp._scaled([0 if isinstance(v, float) else v for v in col]),
+             tuple(i for i, v in enumerate(col) if isinstance(v, float)))
+            for col in zip(*game))
+        return game
+
+
+def rationalize_matrix(matrix) -> ExactGame:
+    """The exact game of a square matrix; an ExactGame is returned as is."""
+    if isinstance(matrix, ExactGame):
+        return matrix
+    rows = [[rationalize_entry(v) for v in row] for row in getattr(matrix, "entries", matrix)]
     n = len(rows)
     if n == 0 or any(len(r) != n for r in rows):
         raise PreconditionError("game matrix must be square and nonempty")
-    return rows
+    return ExactGame(rows)
 
 
 def payoff_floor(matrix, x) -> Entry:
     """min over columns j of sum_i x_i G_ij, with the convention 0*inf = 0."""
-    rows = rationalize_matrix(matrix)
+    game = rationalize_matrix(matrix)
     weights = tuple(Fraction(v) for v in x)
-    if len(weights) != len(rows):
+    if len(weights) != len(game):
         raise PreconditionError("strategy length does not match the matrix")
-    return min(_column_payoffs(rows, weights))
+    return min(_column_payoffs(game, weights))
 
 
-def _column_payoffs(rows, weights):
-    """Yield sum_i w_i G_ij for each column j, with the convention 0*inf = 0.
-
-    Each sum is taken on integers over one common denominator and reduced
-    once, instead of one Fraction addition (a gcd on big numbers) per term.
-    """
-    live = [i for i, w in enumerate(weights) if w]
-    w_ints, w_scale = lp._scaled([Fraction(weights[i]) for i in live])
-    for j in range(len(rows)):
-        col = [rows[i][j] for i in live]
-        if INF in col:
+def _column_payoffs(matrix, weights):
+    """Yield sum_i w_i G_ij for each column j, with the convention 0*inf = 0:
+    one integer dot product with the stored column, reduced once."""
+    w_ints, w_scale = lp._scaled([Fraction(w) for w in weights])
+    for nums, scale, inf_rows in rationalize_matrix(matrix).columns:
+        if any(w_ints[i] for i in inf_rows):
             yield INF
-            continue
-        g_ints, g_scale = lp._scaled(col)
-        yield Fraction(sum(a * b for a, b in zip(w_ints, g_ints)), w_scale * g_scale)
+        else:
+            yield Fraction(sum(map(mul, w_ints, nums)), w_scale * scale)
 
 
 def game_value(matrix) -> GameValueResult:
@@ -178,7 +196,7 @@ def game_value(matrix) -> GameValueResult:
 def _solve_finite_columns(rows) -> tuple:
     """The columns C free of +infinity, and lp.solve on all rows times C
     (None when C is empty)."""
-    cols = [j for j in range(len(rows)) if all(r[j] != INF for r in rows)]
+    cols = [j for j, (_, _, inf_rows) in enumerate(rows.columns) if not inf_rows]
     return cols, lp.solve([[r[j] for j in cols] for r in rows]) if cols else None
 
 
@@ -217,7 +235,7 @@ def minimax_check(matrix) -> bool:
     the negated transpose.
     """
     rows = rationalize_matrix(matrix)
-    if any(v == INF for r in rows for v in r):
+    if any(inf_rows for _, _, inf_rows in rows.columns):
         raise PreconditionError("minimax equality check needs a finite matrix")
     n = len(rows)
     inf_sup = lp.solve(rows)[0]
@@ -271,7 +289,7 @@ def _blend_beating(rows, x, v_prime: Fraction) -> Optional[tuple]:
 
 
 def _beats(rows, weights, v_prime: Fraction) -> bool:
-    return all(col == INF or col > v_prime for col in _column_payoffs(rows, weights))
+    return all(col > v_prime for col in _column_payoffs(rows, weights))  # INF > v_prime too
 
 
 def _simplify_strategy(rows, weights, v_prime: Fraction) -> Strategy:

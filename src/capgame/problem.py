@@ -270,7 +270,7 @@ def parse_problem(text) -> ProblemSpec:
     for k, entry in enumerate(_optional(doc, "extra_places", list, "document")):
         where = f"extra_places[{k}]"
         rows = _require(entry, "entries", list, where)
-        label = entry.get("label", f"user[{k}]")
+        label = _require(entry, "label", str, where) if "label" in entry else f"user[{k}]"
         try:
             parsed = tuple(
                 tuple(math.inf if v == "inf" else float(v) for v in row) for row in rows

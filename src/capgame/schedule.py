@@ -25,7 +25,7 @@ from itertools import accumulate
 from typing import Optional, Sequence
 
 from .errors import PreconditionError
-from .game import INF, Strategy, rationalize_matrix, _column_payoffs
+from .game import Strategy, _beats, rationalize_matrix
 
 
 @dataclass(frozen=True)
@@ -195,27 +195,26 @@ def weighted_floor(schedule: Schedule, matrix, v_prime) -> WeightedFloorReport:
     raised.  Infinite entries weighted by omega_i = 0 contribute nothing,
     and once touched they satisfy the column constraint outright.
     """
-    rows = rationalize_matrix(matrix)
+    game = rationalize_matrix(matrix)
     m = schedule.size
-    if len(rows) != m:
+    if len(game) != m:
         raise PreconditionError("matrix size does not match the schedule")
     v_prime = Fraction(v_prime)
-    precondition_ok = all(col > v_prime for col in _column_payoffs(rows, schedule.a))
+    precondition_ok = _beats(game, schedule.a, v_prime)
 
     d, n = _scaled_weights(schedule.a)
     idx = _one_period(schedule, d, n)
     K, P = len(schedule.sequence), len(idx)
     # one common denominator D puts v' and every finite entry on the integers
-    D = math.lcm(v_prime.denominator, *(e.denominator for r in rows for e in r if e != INF))
+    D = math.lcm(v_prime.denominator, *(scale for _, scale, _ in game.columns))
     V = v_prime.numerator * (D // v_prime.denominator)
     c, worst_k, worst_j = 0, 0, 0
-    for j in range(m):
-        # D*(v' - G_ij) per visit to i; None marks an infinite entry
-        gain = [None if r[j] == INF else V - r[j].numerator * (D // r[j].denominator)
-                for r in rows]
+    for j, (nums, scale, inf_rows) in enumerate(game.columns):
+        # D*(v' - G_ij) per visit to i
+        unit = D // scale
+        gain = [V - a * unit for a in nums]
         # the first visit to an infinite entry satisfies column j for good
-        end = min((idx.index(i) for i, g in enumerate(gain) if g is None and i in idx),
-                  default=P)
+        end = min((idx.index(i) for i in inf_rows if i in idx), default=P)
         # gaps[k-1] = D*(k*v' - S_j(k)) over the steps before the column dies
         gaps = list(accumulate(gain[i] for i in idx[:end]))
         if not gaps:

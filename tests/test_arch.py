@@ -259,6 +259,36 @@ def test_arch_matrix_with_infinity_point():
     assert m[0][1] == pytest.approx(math.log(3 + math.sqrt(8)), abs=1e-12)
 
 
+def test_arch_matrix_locates_each_pole_once_per_row(monkeypatch):
+    # the pole's component depends only on the row, so n points cost O(n)
+    # lookups, not one per entry; the entries equal the public green
+    from capgame import arch
+
+    calls = []
+    locate = arch.locate_component
+
+    def counting(domain, coordinate):
+        calls.append(coordinate)
+        return locate(domain, coordinate)
+
+    u = DisjointUnion((Disk(0, 1), Disk(5, 2), ExteriorDisk(3, 10)))
+    pts = [MarkedPoint(k, F(c)) for k, c in enumerate(
+        ["0", "1/3", "-1/2", "5", "6", "4", "20", "-15", "31/2"])]
+    pts.append(MarkedPoint(len(pts), INFINITY))
+    assignment = ArchDomainAssignment.build(u, pts)
+    monkeypatch.setattr(arch, "locate_component", counting)
+    m = arch_matrix(assignment, pts)
+    n = len(pts)
+    assert len(calls) <= 2 * n < n * n
+    monkeypatch.setattr(arch, "locate_component", locate)
+    for i, pi in enumerate(pts):
+        assert m[i][i] == robin_constant(u, pi.coordinate)
+        for j, pj in enumerate(pts):
+            if i != j:
+                zj = INFINITY if pj.is_infinite else complex(pj.coordinate)
+                assert m[i][j] == green(u, pi.coordinate, zj)
+
+
 # --- grid oracle -----------------------------------------------------------
 
 

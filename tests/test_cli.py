@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 from capgame import game
-from capgame.cli import build_global_matrix, run_check, to_json
+from capgame.cli import build_global_matrix, main, run_check, to_json
 from capgame.problem import parse_problem
 
 F = Fraction
@@ -297,6 +297,13 @@ def test_cli_placement_component_true_exit_2(tmp_path):
     assert message == "bad integer True in arch_places[0].placement"
 
 
+def test_cli_extra_place_label_not_a_string_exit_2(tmp_path):
+    # a label of 7 ended `capgame matrix` in a TypeError and was echoed by check
+    message = _check_mutated(
+        tmp_path, lambda d: d.update(extra_places=[{"label": 7, "entries": [[0]]}]))
+    assert message == "field 'label' in extra_places[0] has the wrong type"
+
+
 def test_cli_large_prime_place_is_fast(tmp_path):
     doc = json.loads(BOREL_DWORK.read_text())
     doc["nonarch_places"] = [{"p": 1000000000000000009}]
@@ -375,6 +382,34 @@ def test_cli_greens_nan_exit_4(tmp_path):
     assert error["kind"] == "precondition"
     assert "collide after rounding" in error["message"]
     assert "Traceback" not in res.stderr
+
+
+def _point_beyond_float_range(doc):
+    doc["points"][1]["coordinate"] = "1e400"
+    doc["series"][1]["coefficients"] = doc["series"][1]["coefficients"][:4]
+
+
+def _disk_beyond_float_range(doc):
+    doc["points"][0]["coordinate"] = "1e400"
+    doc["arch_places"][0]["domain"]["center"] = "1e400"
+
+
+@pytest.mark.parametrize("command", ["check", "matrix", "greens"])
+@pytest.mark.parametrize("problem, mutate, pole", [
+    (TWO_POINT, _point_beyond_float_range, "1"),
+    (BOREL_DWORK, _disk_beyond_float_range, "0"),
+], ids=["point_1e400", "disk_and_point_1e400"])
+def test_beyond_float_range_exit_4(tmp_path, capsys, problem, mutate, pole, command):
+    # float(1e400) used to end check, matrix and greens in an OverflowError
+    doc = json.loads(problem.read_text())
+    mutate(doc)
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps(doc))
+    extra = ["--pole", pole, "--at", "1,2"] if command == "greens" else []
+    assert main([command, str(path), *extra]) == 4
+    error = json.loads(capsys.readouterr().out)["error"]
+    assert error["kind"] == "precondition"
+    assert "beyond the float range" in error["message"]
 
 
 # --- bounded factoring of scalings -------------------------------------------

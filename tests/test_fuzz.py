@@ -1,0 +1,112 @@
+"""Mutated problem documents end in exit 0, 2, 3 or 4 in bounded time.
+
+Each example takes one of the shipped `problems/*.json`, drops or retypes
+keys, puts extreme numbers in, or duplicates list items, and runs `check`,
+`matrix`, `value`, `oracle` and `schedule --K 20` in-process.  An uncaught
+exception or an alarm fails the example.
+"""
+
+import contextlib
+import copy
+import io
+import json
+import signal
+import tempfile
+from pathlib import Path
+
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from capgame.cli import main
+
+PROBLEMS = sorted((Path(__file__).resolve().parent.parent / "problems").glob("*.json"))
+DOCS = {p.stem: json.loads(p.read_text()) for p in PROBLEMS}
+COMMANDS = (["check"], ["matrix"], ["value"], ["oracle"], ["schedule", "--K", "20"])
+SECONDS_PER_EXAMPLE = 30
+
+EXTREMES = ["1e400", "-1e400", "1e-400", "1e308", 1e308, -1e308, 1e-308, 5e-324, 0, -1,
+            2**70, "inf", "-inf", "nan", "1/0", "", "x", True, None, [], {}, 0.5]
+
+
+def paths(node, prefix=()):
+    """Every path (a tuple of keys and indices) below the node."""
+    items = node.items() if isinstance(node, dict) else enumerate(node) if isinstance(node, list) else ()
+    for key, child in items:
+        yield prefix + (key,)
+        yield from paths(child, prefix + (key,))
+
+
+def mutate(doc, path, op, value):
+    """Drop, retype or (in a list) duplicate the node at path, in place."""
+    parent = doc
+    for key in path[:-1]:
+        parent = parent[key]
+    key = path[-1]
+    if op == "drop":
+        del parent[key]
+    elif op == "retype":
+        parent[key] = value
+    elif isinstance(parent, list):  # "dup"
+        parent.insert(key, copy.deepcopy(parent[key]))
+
+
+@st.composite
+def mutated_documents(draw):
+    doc = copy.deepcopy(DOCS[draw(st.sampled_from(sorted(DOCS)))])
+    for _ in range(draw(st.integers(1, 3))):
+        choices = list(paths(doc))
+        if not choices:
+            break
+        mutate(doc, draw(st.sampled_from(choices)), draw(st.sampled_from(("drop", "retype", "dup"))),
+               draw(st.sampled_from(EXTREMES)))
+    return doc
+
+
+def with_changes(name, change):
+    doc = copy.deepcopy(DOCS[name])
+    change(doc)
+    return doc
+
+
+def _label_not_a_string(doc):
+    doc["extra_places"][0]["label"] = 7
+
+
+def _point_beyond_float_range(doc):
+    doc["points"][1]["coordinate"] = "1e400"
+    doc["series"][1]["coefficients"] = doc["series"][1]["coefficients"][:4]
+
+
+def _disk_beyond_float_range(doc):
+    doc["points"][0]["coordinate"] = "1e400"
+    doc["arch_places"][0]["domain"]["center"] = "1e400"
+
+
+class Alarm(Exception):
+    pass
+
+
+def _ring(signum, frame):
+    raise Alarm(f"a command ran longer than {SECONDS_PER_EXAMPLE} s")
+
+
+@settings(max_examples=150, derandomize=True, database=None, deadline=None)
+@given(mutated_documents())
+@example(with_changes("infinite_interaction", _label_not_a_string))
+@example(with_changes("two_point_interval", _point_beyond_float_range))
+@example(with_changes("borel_dwork", _disk_beyond_float_range))
+def test_mutated_documents_exit_cleanly(doc):
+    previous = signal.signal(signal.SIGALRM, _ring)
+    signal.alarm(SECONDS_PER_EXAMPLE)
+    try:
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "mutated.json"
+            path.write_text(json.dumps(doc))
+            for command in COMMANDS:
+                with contextlib.redirect_stdout(io.StringIO()), \
+                        contextlib.redirect_stderr(io.StringIO()):
+                    code = main([command[0], str(path), *command[1:]])
+                assert code in (0, 2, 3, 4), (command, code)
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)

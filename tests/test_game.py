@@ -577,3 +577,48 @@ def test_column_payoffs_equal_the_running_sum():
         assert got == want
         assert [type(v) for v in got] == [type(v) for v in want]
         assert payoff_floor(rows, weights) == min(want)
+
+
+# --- the exact game: integer rationalization and stored columns ----------------
+
+
+def test_rationalize_entry_matches_limit_denominator():
+    rng = random.Random(113)
+    floats = [0.0, -0.0, 1.0, -3.0, 2.0**52, 0.5, -0.375, 3 / 1024, 1 / 3, -2 / 3, math.pi,
+              1e-12, 1e12 + 0.5, 5e-324, -5e-324, 2.2250738585072014e-308, 1e308, -1e308]
+    for _ in range(400):
+        kind = rng.randrange(5)
+        if kind == 0:
+            floats.append(rng.uniform(-10, 10))
+        elif kind == 1:
+            floats.append(float(rng.randint(-10**15, 10**15)))
+        elif kind == 2:  # dyadic, denominators below and above the bound
+            floats.append(rng.randint(-2**20, 2**20) / 2**rng.randint(0, 60))
+        elif kind == 3:  # subnormal
+            floats.append(rng.uniform(-1, 1) * 2.0**-1022)
+        else:
+            floats.append(rng.uniform(-1, 1) * 10.0**rng.randint(-300, 308))
+    for f in floats:
+        got, want = rationalize_entry(f), F(f).limit_denominator(10**12)
+        assert type(got) is type(want) and got == want, f
+        assert (got.numerator, got.denominator) == (want.numerator, want.denominator)
+
+
+def test_stored_columns_match_the_plain_rows():
+    rng = random.Random(131)
+    for trial in range(60):
+        n = rng.randint(1, 10)
+        matrix = float_matrix(rng, n, n)
+        for _ in range(rng.randint(0, n)):
+            matrix[rng.randrange(n)][rng.randrange(n)] = INF
+        game = rationalize_matrix(matrix)
+        assert rationalize_matrix(game) is game
+        plain = [list(r) for r in game]
+        raw = [F(rng.randint(0, 3), rng.randint(1, 10**rng.randint(1, 12))) for _ in range(n)]
+        weights = [w / sum(raw) for w in raw] if sum(raw) else raw  # zeros included
+        got = list(_column_payoffs(game, weights))
+        want = [running_sum_payoff(plain, weights, j) for j in range(n)]
+        assert got == want == list(_column_payoffs(plain, weights))
+        assert [type(v) for v in got] == [type(v) for v in want]
+        for v_prime in {F(0), F(-1, 3)} | {v - F(1, 10**9) for v in want if v != INF}:
+            assert _beats(game, weights, v_prime) == all(v == INF or v > v_prime for v in want)
