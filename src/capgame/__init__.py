@@ -13,22 +13,13 @@ from .arch import (
     Disk,
     DisjointUnion,
     ExteriorDisk,
-    GreenDiagnostics,
     IntervalComplement,
     arch_matrix,
     green,
     robin_constant,
-    validate_green,
 )
 from .cli import Verdict, build_global_matrix, run_check
 from .errors import CapgameError, ComputationError, PreconditionError, ProblemFormatError
-from .filtration import (
-    FiltrationProfile,
-    abel_check,
-    filtration_ranks,
-    quadratic_bound_check,
-    rank_oracle,
-)
 from .formal import (
     INFINITY,
     LocalSeries,
@@ -65,6 +56,19 @@ from .problem import ProblemSpec, parse_problem, serialize_problem
 from .schedule import Schedule, build_schedule, check_bounds, weighted_floor
 
 __version__ = "0.1.0"
+
+# names from code that `check` never runs: they load on first use (PEP 562)
+_LAZY = {"FiltrationProfile": "filtration", "abel_check": "filtration", "filtration_ranks": "filtration",
+         "quadratic_bound_check": "filtration", "rank_oracle": "filtration",
+         "GreenDiagnostics": "arch", "validate_green": "arch"}
+
+
+def __getattr__(name):
+    if name not in _LAZY:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from importlib import import_module
+
+    return getattr(import_module(f".{_LAZY[name]}", __name__), name)
 
 __all__ = [
     "ArchDomainAssignment",

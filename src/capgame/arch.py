@@ -16,32 +16,32 @@ harmonicity, boundary vanishing and positivity independently.
 
 Each closed form is written once, over element operations: single points
 (`green`, `robin_constant`) use `math`/`cmath` on Python numbers, and only
-the grids of `validate_green` import numpy.
+the grids of `validate_green` import numpy.  `validate_green` and
+`GreenDiagnostics` live in `greengrid`, which loads on first use.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, fields
 from fractions import Fraction
 from functools import cached_property, wraps
 from types import SimpleNamespace
 from typing import Mapping, Optional, Sequence, Union
 
+from ._record import Record
 from .errors import PreconditionError, ProblemFormatError
 from .formal import INFINITY, MarkedPoint, coordinate_str, is_infinite
 
 
-class _Component:
+class _Component(Record):
     @cached_property
     def floats(self) -> tuple:
         """(center, radius) or (a, b) as floats, computed once."""
-        return tuple(float(getattr(self, f.name)) for f in fields(self))
+        return tuple(float(v) for v in self._values())
 
 
-@dataclass(frozen=True)
-class Disk(_Component):
+class _Circle(_Component):
     center: Fraction
     radius: Fraction
 
@@ -51,35 +51,25 @@ class Disk(_Component):
         if self.radius <= 0:
             raise ProblemFormatError("disk radius must be positive")
 
-    @property
-    def contains_infinity(self) -> bool:
-        return False
+
+class Disk(_Circle):
+    """The region |z - c| < R."""
+
+    contains_infinity = False
 
 
-@dataclass(frozen=True)
-class ExteriorDisk(_Component):
+class ExteriorDisk(_Circle):
     """The region |z - c| > R, including the point at infinity."""
 
-    center: Fraction
-    radius: Fraction
-
-    def __post_init__(self):
-        object.__setattr__(self, "center", Fraction(self.center))
-        object.__setattr__(self, "radius", Fraction(self.radius))
-        if self.radius <= 0:
-            raise ProblemFormatError("disk radius must be positive")
-
-    @property
-    def contains_infinity(self) -> bool:
-        return True
+    contains_infinity = True
 
 
-@dataclass(frozen=True)
 class IntervalComplement(_Component):
     """P^1 minus a real segment [a, b]; contains the point at infinity."""
 
     a: Fraction
     b: Fraction
+    contains_infinity = True
 
     def __post_init__(self):
         object.__setattr__(self, "a", Fraction(self.a))
@@ -87,16 +77,11 @@ class IntervalComplement(_Component):
         if not self.a < self.b:
             raise ProblemFormatError("interval complement needs a < b")
 
-    @property
-    def contains_infinity(self) -> bool:
-        return True
-
 
 Component = Union[Disk, ExteriorDisk, IntervalComplement]
 
 
-@dataclass(frozen=True)
-class DisjointUnion:
+class DisjointUnion(Record):
     components: tuple
 
     def __post_init__(self):
@@ -174,8 +159,7 @@ def locate_component(domain: ArchDomain, coordinate) -> int:
     raise PreconditionError(f"point {coordinate_str(coordinate)} lies outside the domain")
 
 
-@dataclass(frozen=True)
-class ArchDomainAssignment:
+class ArchDomainAssignment(Record):
     """A domain together with the component housing each marked point."""
 
     domain: ArchDomain
@@ -461,152 +445,10 @@ def arch_matrix(assignment: ArchDomainAssignment, points: Sequence[MarkedPoint])
     return tuple(rows)
 
 
-# ---------------------------------------------------------------------------
-# numerical oracle
+def __getattr__(name):
+    # the grid oracle loads on first use (PEP 562)
+    if name in ("GreenDiagnostics", "validate_green"):
+        from . import greengrid
 
-
-@dataclass(frozen=True)
-class GreenDiagnostics:
-    """Grid diagnostics for one Green function (see validate_green)."""
-
-    h: float
-    tolerance: float
-    laplacian_residual: Optional[float]
-    boundary_residual: Optional[float]
-    interior_min: Optional[float]
-    interior_count: int
-    boundary_count: int
-
-    @property
-    def laplacian_ok(self) -> bool:
-        return self.laplacian_residual is None or self.laplacian_residual <= self.tolerance
-
-    def to_report(self) -> dict:
-        return {
-            "h": self.h,
-            "tolerance": self.tolerance,
-            "laplacian_residual": self.laplacian_residual,
-            "boundary_residual": self.boundary_residual,
-            "interior_min": self.interior_min,
-            "interior_count": self.interior_count,
-            "boundary_count": self.boundary_count,
-            "laplacian_ok": self.laplacian_ok,
-        }
-
-
-def _component_box(comp: Component):
-    """Sampling box (x range, y range) covering the informative region."""
-    c, r = a, b = comp.floats
-    if isinstance(comp, Disk):
-        return (c - r, c + r), (-r, r)
-    if isinstance(comp, ExteriorDisk):
-        return (c - 2.5 * r, c + 2.5 * r), (-2.5 * r, 2.5 * r)
-    pad = max(b - a, 1.0)
-    return (a - pad, b + pad), (-pad - 1.0, pad + 1.0)
-
-
-def _grid_green(comp: Component, pole, zs):
-    """Green values of one component on a numpy array of points."""
-    import numpy as np
-
-    grid = SimpleNamespace(abs=np.abs, sqrt=np.sqrt, log=np.log, conj=np.conj, div=np.divide)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        return _component_green(grid, comp, pole, zs)
-
-
-def _interior_mask(comp: Component, zz, h: float):
-    """Points whose full 5-point stencil stays inside the component."""
-    import numpy as np
-
-    c, r = comp.floats
-    if isinstance(comp, Disk):
-        return np.abs(zz - c) <= r - 2 * h
-    if isinstance(comp, ExteriorDisk):
-        d = np.abs(zz - c)
-        return (d >= r + 2 * h) & (d <= 2.2 * r)
-    # stay away from the segment (its endpoints carry the branch points)
-    cut_clear = max(0.75, 5 * h)
-    return np.abs(zz.imag) >= cut_clear
-
-
-def _boundary_samples(comp: Component, count: int = 720):
-    import numpy as np
-
-    if isinstance(comp, (Disk, ExteriorDisk)):
-        theta = np.linspace(0.0, 2.0 * math.pi, count, endpoint=False)
-        return comp.floats[0] + comp.floats[1] * np.exp(1j * theta)
-    return np.linspace(*comp.floats, count).astype(complex)
-
-
-def validate_green(
-    domain: ArchDomain,
-    pole,
-    h: float,
-    tolerance: float = 1e-4,
-    pole_clearance: float = 1.25,
-) -> GreenDiagnostics:
-    """Check one Green function against its defining properties on a grid.
-
-    Reports the largest 5-point discrete Laplacian over interior grid points
-    away from the pole, the largest |g| over boundary samples, and the
-    smallest g over the interior samples.  Always returns a report; fields
-    are None when the grid yields no usable samples.
-    """
-    import numpy as np
-
-    if h <= 0:
-        raise PreconditionError("grid step must be positive")
-    comps, comp, pole_arg = _pole_frame(domain, pole)
-
-    (x0, x1), (y0, y1) = _component_box(comp)
-    lap_res = bnd_res = interior_min = None
-    n_interior = 0
-
-    xs = np.arange(x0, x1 + h / 2, h)
-    ys = np.arange(y0, y1 + h / 2, h)
-    if len(xs) >= 5 and len(ys) >= 5:
-        zz = xs[None, :] + 1j * ys[:, None]
-        gg = _grid_green(comp, pole_arg, zz)
-        mask = _interior_mask(comp, zz, h)
-        if pole_arg is not None:
-            mask &= np.abs(zz - pole_arg) >= pole_clearance
-            if isinstance(comp, (Disk, ExteriorDisk)) and pole_arg != complex(comp.center):
-                # the harmonic extension is singular at the reflected pole
-                c = complex(comp.center)
-                refl = c + float(comp.radius) ** 2 / np.conj(pole_arg - c)
-                mask &= np.abs(zz - refl) >= pole_clearance
-        core = mask[1:-1, 1:-1]
-        if core.any():
-            lap = (
-                gg[2:, 1:-1] + gg[:-2, 1:-1] + gg[1:-1, 2:] + gg[1:-1, :-2]
-                - 4.0 * gg[1:-1, 1:-1]
-            ) / (h * h)
-            vals = lap[core]
-            finite = np.isfinite(vals)
-            if finite.any():
-                lap_res = float(np.max(np.abs(vals[finite])))
-                interior_min = float(np.min(gg[1:-1, 1:-1][core][finite]))
-                n_interior = int(finite.sum())
-
-    bnd = []
-    for c in comps:
-        samples = _boundary_samples(c)
-        if c is comp:
-            bnd.append(np.abs(_grid_green(comp, pole_arg, samples)))
-        else:
-            bnd.append(np.zeros(len(samples)))  # other components: g is 0 there
-    if bnd:
-        allb = np.concatenate(bnd)
-        allb = allb[np.isfinite(allb)]
-        if len(allb):
-            bnd_res = float(np.max(allb))
-
-    return GreenDiagnostics(
-        h=float(h),
-        tolerance=float(tolerance),
-        laplacian_residual=lap_res,
-        boundary_residual=bnd_res,
-        interior_min=interior_min,
-        interior_count=n_interior,
-        boundary_count=sum(len(b) for b in bnd),
-    )
+        return getattr(greengrid, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -19,13 +19,13 @@ from __future__ import annotations
 import argparse
 import math
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
+from ._record import Record
 from .arch import arch_matrix, green
 from .errors import CapgameError, ComputationError, PreconditionError, ProblemFormatError
-from .exact import format_rational, support_primes
+from .exact import format_rational, parse_rational, support_primes
 from .game import GameValueResult, game_value, rational_strategy, rationalize_matrix
 from .gamematrix import GameMatrix, assemble, gauge_shift
 from .nonarch import NonArchPlace, a_analyticity_check, nonarch_matrix
@@ -120,32 +120,21 @@ def build_global_matrix(spec: ProblemSpec) -> GameMatrix:
     return assemble(shifted[: len(arch)], shifted[len(arch):], extra, ids=ids, extra_labels=labels)
 
 
-@dataclass(frozen=True)
-class ScheduleDiagnostics:
+class ScheduleDiagnostics(Record):
     v_prime: Fraction
     a: tuple
     K: int
     bounds_verdict: bool
     max_dev: Fraction
     min_dev: Fraction
-    floor_c: Fraction
-    floor_precondition_ok: bool
+    weighted_floor_c: Fraction
+    weighted_floor_precondition_ok: bool
 
     def to_report(self) -> dict:
-        return {
-            "v_prime": self.v_prime,
-            "a": list(self.a),
-            "K": self.K,
-            "bounds_verdict": self.bounds_verdict,
-            "max_dev": self.max_dev,
-            "min_dev": self.min_dev,
-            "weighted_floor_c": self.floor_c,
-            "weighted_floor_precondition_ok": self.floor_precondition_ok,
-        }
+        return {**super().to_report(), "a": list(self.a)}
 
 
-@dataclass(frozen=True)
-class Verdict:
+class Verdict(Record):
     """Joint outcome of the capacity-game criterion and the oracle."""
 
     value_result: GameValueResult
@@ -226,8 +215,8 @@ def run_check(spec: ProblemSpec) -> Verdict:
             bounds_verdict=bounds.verdict,
             max_dev=bounds.max_dev,
             min_dev=bounds.min_dev,
-            floor_c=floor.c,
-            floor_precondition_ok=floor.precondition_ok,
+            weighted_floor_c=floor.c,
+            weighted_floor_precondition_ok=floor.precondition_ok,
         )
 
     return Verdict(
@@ -285,8 +274,11 @@ def _cmd_value(args) -> tuple[dict, str]:
 def _cmd_schedule(args) -> tuple[dict, str]:
     spec = _load_spec(args.file)
     ids = spec.sorted_ids()
-    if args.a:
-        weights = [Fraction(w) for w in args.a.split(",")]
+    if args.a is not None:
+        try:
+            weights = [parse_rational(w) for w in args.a.split(",")]
+        except ValueError as exc:
+            raise PreconditionError(f"--a expects comma-separated rationals: {exc}") from exc
         if len(weights) != len(ids):
             raise PreconditionError("--a must list one weight per point")
     else:

@@ -13,7 +13,8 @@ Each helper reduces its result once, by the gcd of the denominator and
 all coefficients, instead of one gcd per coefficient operation.  The
 Taylor shift, series division, sum, product and pseudo-division with its
 extended Euclidean sequence are written on these pairs; the Fraction-tuple
-versions of them (and of the gcd) are thin wrappers.
+product, quotient and gcd that the oracle's `RationalFunction` uses are
+thin wrappers.
 """
 
 from __future__ import annotations
@@ -144,37 +145,12 @@ def poly_deg(p: Poly) -> int:
     return len(p) - 1
 
 
-def poly_add(p: Poly, q: Poly) -> Poly:
-    return ipoly_fractions(ipoly_add(ipoly(p), ipoly(q)))
-
-
-def poly_sub(p: Poly, q: Poly) -> Poly:
-    return ipoly_fractions(ipoly_add(ipoly(p), ipoly(q), -1))
-
-
 def poly_scale(p: Poly, c: Fraction) -> Poly:
     return poly(v * c for v in p)
 
 
 def poly_mul(p: Poly, q: Poly) -> Poly:
     return ipoly_fractions(ipoly_mul(ipoly(p), ipoly(q)))
-
-
-def poly_eval(p: Poly, x):
-    acc = F0 if isinstance(x, Fraction) else 0
-    for c in reversed(p):
-        acc = acc * x + c
-    return acc
-
-
-def poly_shift(p: Poly, a: Fraction) -> Poly:
-    """Coefficients of p(t + a) as a polynomial in t (exact Taylor shift)."""
-    return ipoly_fractions(ipoly_shift(ipoly(p), a))
-
-
-def poly_reverse(p: Poly, degree: int) -> Poly:
-    """Coefficients of z**degree * p(1/z); requires degree >= deg(p)."""
-    return ipoly_fractions(ipoly_reverse(ipoly(p), degree))
 
 
 def poly_divmod(a: Poly, b: Poly) -> tuple[Poly, Poly]:
@@ -195,16 +171,6 @@ def poly_gcd(a: Poly, b: Poly) -> Poly:
         g = math.gcd(*r)
         a, b = b, [v // g for v in r]
     return ipoly_fractions((a, a[-1])) if a else ()
-
-
-def series_div(num: Sequence, den: Sequence, order: int) -> list[Fraction]:
-    """First order+1 coefficients of num/den as a power series; den[0] != 0."""
-    return list(ipoly_fractions(iseries_div(ipoly(num[: order + 1]), ipoly(den), order),
-                                order + 1))
-
-
-def binomial(n: int, k: int) -> int:
-    return math.comb(n, k)
 
 
 # ---------------------------------------------------------------------------

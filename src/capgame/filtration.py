@@ -10,18 +10,18 @@ algebra as an independent cross-check.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
+from math import comb
 from typing import Sequence
 
+from ._record import Record
 from .errors import PreconditionError
-from .exact import binomial, matrix_rank
+from .exact import matrix_rank
 from .formal import MarkedPoint, check_distinct_points
 from .schedule import Schedule
 
 
-@dataclass(frozen=True)
-class FiltrationProfile:
+class FiltrationProfile(Record):
     """Ranks r_0, r_1, ... of the nested vanishing subspaces, down to 0."""
 
     N: int
@@ -37,9 +37,6 @@ class FiltrationProfile:
         if r[-1] != 0 or (len(r) > 1 and 0 in r[:-1]):
             raise PreconditionError("profile must end at its first zero rank")
         object.__setattr__(self, "ranks", r)
-
-    def to_report(self) -> dict:
-        return {"N": self.N, "ranks": list(self.ranks)}
 
 
 def filtration_ranks(N: int, schedule: Schedule, points: Sequence[MarkedPoint]) -> FiltrationProfile:
@@ -85,7 +82,7 @@ def rank_oracle(N: int, points: Sequence[MarkedPoint], orders: Sequence[int]) ->
             for r in range(m):
                 # r-th Taylor coefficient of the polynomial at p
                 row = [
-                    Fraction(binomial(s, r)) * p ** (s - r) if s >= r else Fraction(0)
+                    Fraction(comb(s, r)) * p ** (s - r) if s >= r else Fraction(0)
                     for s in range(N + 1)
                 ]
                 rows.append(row)

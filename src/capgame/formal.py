@@ -9,10 +9,10 @@ exact rational coefficients.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence, Union
 
+from ._record import Record
 from .errors import PreconditionError, ProblemFormatError
 from .exact import format_rational, ipoly, ipoly_fractions, ipoly_reverse, ipoly_shift, iseries_div
 
@@ -30,8 +30,7 @@ def coordinate_str(coordinate) -> str:
     return "inf" if is_infinite(coordinate) else format_rational(coordinate)
 
 
-@dataclass(frozen=True)
-class MarkedPoint:
+class MarkedPoint(Record):
     """A rational point of P^1 with its canonical local parameter."""
 
     id: int
@@ -45,14 +44,8 @@ class MarkedPoint:
     def is_infinite(self) -> bool:
         return is_infinite(self.coordinate)
 
-    @property
-    def parameter(self) -> str:
-        """Local parameter convention: "z-p" at finite p, "1/z" at infinity."""
-        return "1/z" if self.is_infinite else "z-p"
 
-
-@dataclass(frozen=True)
-class TangentScaling:
+class TangentScaling(Record):
     """A nonzero rational rescaling of the canonical tangent vector d/dt."""
 
     point: int
@@ -64,8 +57,7 @@ class TangentScaling:
             raise ProblemFormatError(f"scaling for point {self.point} must be nonzero")
 
 
-@dataclass(frozen=True)
-class LocalSeries:
+class LocalSeries(Record):
     """A truncated exact power series in the local parameter of one point."""
 
     point: int

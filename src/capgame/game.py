@@ -12,12 +12,12 @@ its sub-game on the infinity-free columns (see `game_value`).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from operator import mul
 from typing import Optional, Union
 
 from . import lp
+from ._record import Record
 from .errors import ComputationError, PreconditionError
 
 INF = math.inf
@@ -28,8 +28,7 @@ MARGIN_EPS = 1e-6
 Entry = Union[Fraction, float]
 
 
-@dataclass(frozen=True)
-class Strategy:
+class Strategy(Record):
     """A mixed strategy: exact nonnegative rational weights summing to 1."""
 
     weights: tuple
@@ -58,8 +57,7 @@ class Strategy:
         return cls((Fraction(1, n),) * n)
 
 
-@dataclass(frozen=True)
-class GameValueResult:
+class GameValueResult(Record):
     """Value, optimal strategies, and the per-column payoff certificate."""
 
     value: Entry  # exact Fraction, or math.inf

@@ -12,10 +12,10 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence, Union
 
+from ._record import Record
 from .errors import PreconditionError, ProblemFormatError
 from .exact import padic_valuation
 from .nonarch import PrimeMatrix
@@ -26,8 +26,7 @@ _SYM_TOL = 1e-9
 _NEG_TOL = 1e-9
 
 
-@dataclass(frozen=True)
-class GameMatrix:
+class GameMatrix(Record):
     """The summed place-by-place matrix, indexed by sorted point id."""
 
     ids: tuple

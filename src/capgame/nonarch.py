@@ -8,10 +8,10 @@ be supplied explicitly.  Sizes are input data or presets, never computed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Sequence
 
+from ._record import Record
 from .errors import PreconditionError, ProblemFormatError
 from .exact import format_rational, is_prime
 
@@ -34,14 +34,13 @@ def size_preset(kind: str, p: int) -> Fraction:
     raise PreconditionError(f"unknown size preset {kind!r}")
 
 
-@dataclass(frozen=True)
-class NonArchPlace:
+class NonArchPlace(Record):
     """One prime's contribution: log-size coefficients and optional
     off-diagonal entries, all as rational multiples of log p."""
 
     p: int
-    log_size_coeffs: dict = field(default_factory=dict)
-    off_diagonal: dict = field(default_factory=dict)
+    log_size_coeffs: dict = {}  # __post_init__ stores fresh copies of both dicts
+    off_diagonal: dict = {}
 
     def __post_init__(self):
         if not is_prime(self.p):
@@ -77,19 +76,15 @@ def _parse_pair(key: str) -> tuple[int, int]:
         raise ProblemFormatError(f"bad off-diagonal index {key!r}") from exc
 
 
-@dataclass(frozen=True)
-class PrimeMatrix:
+class PrimeMatrix(Record):
     """An exact per-prime matrix; entry (i, j) stands for coeffs[i][j]*log p."""
 
     p: int
     coeffs: tuple  # tuple of tuples of Fractions
 
     def __post_init__(self):
-        rows = tuple(tuple(Fraction(c) for c in row) for row in self.coeffs)
-        n = len(rows)
-        if any(len(r) != n for r in rows):
+        if any(len(r) != len(self.coeffs) for r in self.coeffs):
             raise ProblemFormatError("prime matrix must be square")
-        object.__setattr__(self, "coeffs", rows)
 
     @property
     def size(self) -> int:
@@ -119,8 +114,7 @@ def nonarch_matrix(place: NonArchPlace, ids: Sequence[int]) -> PrimeMatrix:
     return PrimeMatrix(place.p, tuple(tuple(r) for r in rows))
 
 
-@dataclass(frozen=True)
-class AnalyticityReport:
+class AnalyticityReport(Record):
     """Per-point totals of the log sizes over all declared places."""
 
     totals: dict  # point id -> {prime: coefficient}

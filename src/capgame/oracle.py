@@ -9,12 +9,12 @@ matching the full input jets -- the oracle certifies, it never guesses.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import count
 from math import comb
 from typing import Optional, Sequence
 
+from ._record import Record
 from .errors import PreconditionError
 from .exact import (
     F0,
@@ -40,8 +40,7 @@ from .exact import (
 from .formal import LocalSeries, MarkedPoint, check_distinct_points, expand_rational_at_point
 
 
-@dataclass(frozen=True)
-class RationalFunction:
+class RationalFunction(Record):
     """A reduced rational function with monic denominator."""
 
     numerator: tuple
@@ -73,12 +72,6 @@ class RationalFunction:
 
     def __str__(self) -> str:
         return f"({_poly_str(self.numerator)}) / ({_poly_str(self.denominator)})"
-
-    def to_report(self) -> dict:
-        return {
-            "numerator": list(self.numerator),
-            "denominator": list(self.denominator),
-        }
 
 
 def _poly_str(p) -> str:
@@ -273,22 +266,20 @@ def _reconstruct(jets: Sequence[LocalSeries], points: Sequence[MarkedPoint],
     return None
 
 
-@dataclass(frozen=True)
-class OracleReport:
+class OracleReport(Record):
     status: str  # "rational" | "not_found"
     function: Optional[RationalFunction]
     verified_orders: dict  # point id -> jet order matched
     degree_cap: int
 
     def to_report(self) -> dict:
-        out = {
+        return {
             "status": self.status,
             "numerator": list(self.function.numerator) if self.function else None,
             "denominator": list(self.function.denominator) if self.function else None,
             "verified_orders": {str(k): v for k, v in sorted(self.verified_orders.items())},
             "degree_cap": self.degree_cap,
         }
-        return out
 
 
 def certify_rationality(

@@ -12,10 +12,10 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional
 
+from ._record import Record
 from .arch import (
     ArchDomain,
     ArchDomainAssignment,
@@ -33,13 +33,11 @@ from .formal import (
     TangentScaling,
     check_distinct_points,
     coordinate_str,
-    is_infinite,
 )
 from .nonarch import SIZE_PRESETS, NonArchPlace, size_preset
 
 
-@dataclass(frozen=True)
-class ExtraPlace:
+class ExtraPlace(Record):
     """A user-supplied numeric place matrix ("inf" entries allowed)."""
 
     label: str
@@ -52,8 +50,7 @@ class ExtraPlace:
         object.__setattr__(self, "entries", rows)
 
 
-@dataclass(frozen=True)
-class ProblemSpec:
+class ProblemSpec(Record):
     points: tuple
     series: tuple
     arch_places: tuple = ()
@@ -202,12 +199,13 @@ def domain_to_json(domain: ArchDomain) -> dict:
 
 def parse_problem(text) -> ProblemSpec:
     """Parse and validate a problem document (bytes or str of JSON)."""
-    if isinstance(text, bytes):
-        text = text.decode("utf-8")
     try:
-        doc = json.loads(text)
+        doc = json.loads(text.decode("utf-8") if isinstance(text, bytes) else text)
     except json.JSONDecodeError as exc:
         raise ProblemFormatError(f"parse error at line {exc.lineno}: {exc.msg}") from exc
+    except (ValueError, RecursionError) as exc:
+        # not UTF-8, an integer past int(str)'s digit limit, or nesting past the recursion limit
+        raise ProblemFormatError(f"parse error: {exc}") from exc
     if not isinstance(doc, dict):
         raise ProblemFormatError("problem document must be a JSON object")
 

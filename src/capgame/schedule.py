@@ -19,17 +19,16 @@ Without such a P the period is the whole sequence.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
 from typing import Optional, Sequence
 
+from ._record import Record
 from .errors import PreconditionError
 from .game import Strategy, _beats, rationalize_matrix
 
 
-@dataclass(frozen=True)
-class Schedule:
+class Schedule(Record):
     """A derivation sequence with its weight vector and visit counters."""
 
     ids: tuple
@@ -132,14 +131,10 @@ def _one_period(schedule: Schedule, d: int, n: list) -> list:
     return idx
 
 
-@dataclass(frozen=True)
-class BoundsReport:
+class BoundsReport(Record):
     max_dev: Fraction
     min_dev: Fraction
     verdict: bool
-
-    def to_report(self) -> dict:
-        return {"max_dev": self.max_dev, "min_dev": self.min_dev, "verdict": self.verdict}
 
 
 def check_bounds(schedule: Schedule) -> BoundsReport:
@@ -169,22 +164,13 @@ def check_bounds(schedule: Schedule) -> BoundsReport:
     )
 
 
-@dataclass(frozen=True)
-class WeightedFloorReport:
+class WeightedFloorReport(Record):
     """Smallest c >= 0 with sum_i omega_i(k) G_ij >= k*v_prime - c throughout."""
 
     c: Fraction
     precondition_ok: bool
     worst_k: int
     worst_column: int
-
-    def to_report(self) -> dict:
-        return {
-            "c": self.c,
-            "precondition_ok": self.precondition_ok,
-            "worst_k": self.worst_k,
-            "worst_column": self.worst_column,
-        }
 
 
 def weighted_floor(schedule: Schedule, matrix, v_prime) -> WeightedFloorReport:

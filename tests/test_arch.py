@@ -10,7 +10,6 @@ from capgame.arch import (
     DisjointUnion,
     ExteriorDisk,
     IntervalComplement,
-    _grid_green,
     arch_matrix,
     green,
     locate_component,
@@ -20,6 +19,7 @@ from capgame.arch import (
 from capgame.errors import PreconditionError, ProblemFormatError
 from capgame.formal import INFINITY, MarkedPoint
 from capgame.gamematrix import gauge_shift
+from capgame.greengrid import _grid_green
 
 F = Fraction
 

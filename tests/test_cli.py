@@ -166,6 +166,16 @@ def test_cli_schedule_bad_weights_exit_4():
     assert res.returncode == 4
 
 
+@pytest.mark.parametrize("weights", ["1/2,abc", "1/0,1", "", "1/2,"])
+def test_cli_schedule_weight_not_rational_exit_4(weights):
+    # each ended in a ValueError or ZeroDivisionError traceback; "" derived
+    # the weights from the game as if --a were absent
+    res = run_cli("schedule", str(TWO_POINT), "--K", "5", "--a", weights)
+    assert res.returncode == 4, res.stderr
+    assert json.loads(res.stdout)["error"]["message"].startswith("--a expects comma-separated rationals")
+    assert "Traceback" not in res.stderr
+
+
 def test_cli_schedule_derives_weights_from_game():
     res = run_cli("schedule", str(TWO_POINT), "--K", "6")
     assert res.returncode == 0
@@ -295,6 +305,25 @@ def test_cli_point_id_true_exit_2(tmp_path):
 def test_cli_placement_component_true_exit_2(tmp_path):
     message = _check_mutated(tmp_path, lambda d: d["arch_places"][0].update(placement={"0": True}))
     assert message == "bad integer True in arch_places[0].placement"
+
+
+UNPARSABLE = {
+    "not_utf8": b"\xff\xfe{",
+    "nested_100000_deep": b"[" * 100_000 + b"]" * 100_000,
+    # json.loads raises a ValueError past int()'s 4,300-digit limit
+    "id_of_5001_digits": BOREL_DWORK.read_bytes().replace(b'"id": 0', b'"id": 1' + b"0" * 5000, 1),
+}
+
+
+@pytest.mark.parametrize("name", sorted(UNPARSABLE))
+def test_cli_unparsable_document_exit_2(tmp_path, name):
+    assert UNPARSABLE[name] != BOREL_DWORK.read_bytes()
+    path = tmp_path / "unparsable.json"
+    path.write_bytes(UNPARSABLE[name])
+    res = run_cli("check", str(path))
+    assert res.returncode == 2, res.stderr
+    assert json.loads(res.stdout)["error"]["message"].startswith("parse error")
+    assert "Traceback" not in res.stderr
 
 
 def test_cli_extra_place_label_not_a_string_exit_2(tmp_path):
@@ -477,5 +506,42 @@ assert "numpy" in sys.modules, "validate_green"
 def test_check_and_greens_leave_numpy_unloaded():
     res = subprocess.run(
         [sys.executable, "-c", NO_NUMPY_SCRIPT], capture_output=True, text=True, cwd=ROOT
+    )
+    assert res.returncode == 0, res.stderr
+
+
+LAZY_SCRIPT = """
+import contextlib, io, sys
+from pathlib import Path
+
+import capgame
+import capgame.cli
+
+UNUSED = ("dataclasses", "inspect", "capgame.filtration", "capgame.greengrid")
+assert not [m for m in UNUSED if m in sys.modules], ("import capgame", sys.modules.keys() & set(UNUSED))
+for path in sorted(Path("problems").glob("*.json")):
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        assert capgame.cli.main(["check", str(path)]) == 0, path
+    assert not [m for m in UNUSED if m in sys.modules], (f"check {path}", sys.modules.keys() & set(UNUSED))
+
+from capgame import FiltrationProfile, filtration_ranks
+from capgame.arch import GreenDiagnostics, validate_green
+import capgame.filtration, capgame.greengrid
+assert filtration_ranks is capgame.filtration.filtration_ranks
+assert FiltrationProfile is capgame.filtration.FiltrationProfile
+assert validate_green is capgame.greengrid.validate_green is capgame.validate_green
+assert GreenDiagnostics is capgame.greengrid.GreenDiagnostics is capgame.GreenDiagnostics
+try:
+    capgame.no_such_name
+except AttributeError:
+    pass
+else:
+    raise AssertionError("capgame.no_such_name resolved")
+"""
+
+
+def test_import_and_check_leave_dataclasses_and_unused_modules_unloaded():
+    res = subprocess.run(
+        [sys.executable, "-c", LAZY_SCRIPT], capture_output=True, text=True, cwd=ROOT
     )
     assert res.returncode == 0, res.stderr

@@ -22,17 +22,12 @@ from capgame.exact import (
     padic_valuation,
     parse_rational,
     poly,
-    poly_add,
     poly_divmod,
-    poly_eval,
     poly_gcd,
     poly_mul,
-    poly_reverse,
-    poly_shift,
-    poly_sub,
-    series_div,
     support_primes,
 )
+from fraction_poly import poly_add, poly_eval, poly_reverse, poly_shift, poly_sub, series_div
 
 F = Fraction
 

@@ -3,7 +3,8 @@
 Each example takes one of the shipped `problems/*.json`, drops or retypes
 keys, puts extreme numbers in, or duplicates list items, and runs `check`,
 `matrix`, `value`, `oracle` and `schedule --K 20` in-process.  An uncaught
-exception or an alarm fails the example.
+exception or an alarm fails the example.  Explicit examples given as bytes
+are written to the document file as they are.
 """
 
 import contextlib
@@ -82,6 +83,13 @@ def _disk_beyond_float_range(doc):
     doc["arch_places"][0]["domain"]["center"] = "1e400"
 
 
+# documents json.loads cannot read: not UTF-8, nested past the recursion
+# limit, and an integer literal past int()'s 4,300-digit limit
+NOT_UTF8 = b"\xff\xfe{"
+NESTED_100000_DEEP = b"[" * 100_000 + b"]" * 100_000
+ID_OF_5001_DIGITS = json.dumps(DOCS["borel_dwork"]).replace('"id": 0', '"id": 1' + "0" * 5000, 1).encode()
+
+
 class Alarm(Exception):
     pass
 
@@ -95,13 +103,16 @@ def _ring(signum, frame):
 @example(with_changes("infinite_interaction", _label_not_a_string))
 @example(with_changes("two_point_interval", _point_beyond_float_range))
 @example(with_changes("borel_dwork", _disk_beyond_float_range))
+@example(NOT_UTF8)
+@example(NESTED_100000_DEEP)
+@example(ID_OF_5001_DIGITS)
 def test_mutated_documents_exit_cleanly(doc):
     previous = signal.signal(signal.SIGALRM, _ring)
     signal.alarm(SECONDS_PER_EXAMPLE)
     try:
         with tempfile.TemporaryDirectory() as tmp:
             path = Path(tmp) / "mutated.json"
-            path.write_text(json.dumps(doc))
+            path.write_bytes(doc if isinstance(doc, bytes) else json.dumps(doc).encode())
             for command in COMMANDS:
                 with contextlib.redirect_stdout(io.StringIO()), \
                         contextlib.redirect_stderr(io.StringIO()):

@@ -6,7 +6,7 @@ import pytest
 
 import capgame.exact
 from capgame.errors import PreconditionError
-from capgame.exact import nullspace, poly, poly_deg, poly_reverse, poly_shift
+from capgame.exact import nullspace, poly, poly_deg
 from capgame.formal import INFINITY, LocalSeries, MarkedPoint, expand_rational_at_point
 from capgame.oracle import (
     OracleReport,
@@ -16,6 +16,7 @@ from capgame.oracle import (
     multipoint_reconstruct,
     pade,
 )
+from fraction_poly import poly_reverse, poly_shift
 
 F = Fraction
 
