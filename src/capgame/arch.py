@@ -343,8 +343,14 @@ def green(domain: ArchDomain, pole, z) -> float:
 
     `pole` is a rational coordinate or INFINITY and must lie strictly inside
     the domain; `z` is a complex number (or INFINITY) in the closure, z != pole.
-    Across distinct components of a union the value is 0.
+    A z with an infinite part is INFINITY.  Across distinct components of a
+    union the value is 0.
     """
+    if not isinstance(z, Fraction):
+        if cmath.isnan(z):
+            raise PreconditionError(f"evaluation point ({z.real}, {z.imag}) is not a number")
+        if cmath.isinf(z):
+            z = INFINITY
     return _green_from(_pole_frame(domain, pole), z)
 
 

@@ -1,5 +1,7 @@
 """Exact arithmetic toolkit: rational parsing, p-adic valuations, dense
-polynomials over the rationals, and Gaussian elimination over the rationals.
+polynomials over the rationals, and one fraction-free elimination on
+integer rows (`bareiss`), under the determinant, the rank and the exact
+LP's linear solve.
 
 Everything in here is pure and exact; floating point never enters.
 Polynomials are tuples of Fractions in ascending degree order, trimmed of
@@ -15,6 +17,10 @@ Taylor shift, series division, sum, product and pseudo-division with its
 extended Euclidean sequence are written on these pairs; the Fraction-tuple
 product, quotient and gcd that the oracle's `RationalFunction` uses are
 thin wrappers.
+
+Linear algebra scales each rational row to integers by the lcm of its
+denominators (`scaled`) and eliminates with Bareiss's fraction-free
+scheme, in which every division is exact.
 """
 
 from __future__ import annotations
@@ -149,10 +155,6 @@ def poly_scale(p: Poly, c: Fraction) -> Poly:
     return poly(v * c for v in p)
 
 
-def poly_mul(p: Poly, q: Poly) -> Poly:
-    return ipoly_fractions(ipoly_mul(ipoly(p), ipoly(q)))
-
-
 def poly_divmod(a: Poly, b: Poly) -> tuple[Poly, Poly]:
     """Quotient and remainder of a by b, from the pseudo-division of their
     integer parts."""
@@ -177,13 +179,18 @@ def poly_gcd(a: Poly, b: Poly) -> Poly:
 # integer polynomials: (coefficients, denominator) pairs
 
 
+def scaled(line: Sequence) -> tuple[list, int]:
+    """The rational `line` times the lcm of its denominators, and that lcm."""
+    scale = math.lcm(*(a.denominator for a in line))
+    return [a.numerator * (scale // a.denominator) for a in line], scale
+
+
 def ipoly(p: Iterable) -> IPoly:
     """Rational coefficients as integers over their least common denominator."""
     cs = [Fraction(c) for c in p]
     while cs and cs[-1] == 0:
         cs.pop()
-    den = math.lcm(*(c.denominator for c in cs))
-    return [c.numerator * (den // c.denominator) for c in cs], den
+    return scaled(cs)
 
 
 def ipoly_fractions(p: IPoly, length: int = 0) -> Poly:
@@ -340,70 +347,59 @@ def ipoly_euclid(a: list, b: IPoly):
 
 
 # ---------------------------------------------------------------------------
-# dense exact linear algebra (row lists of Fractions)
+# dense exact linear algebra on integer rows
 
 
-def rref(rows: Sequence[Sequence[Fraction]]) -> tuple[list[list[Fraction]], list[int]]:
-    """Reduced row echelon form; returns (rows, pivot column indices)."""
-    m = [list(map(Fraction, r)) for r in rows]
-    if not m:
-        return [], []
-    ncols = len(m[0])
-    pivots: list[int] = []
-    r = 0
+def bareiss(mat: list) -> tuple[list, int]:
+    """Fraction-free Gaussian elimination of the integer rows `mat`, in place
+    (Bareiss, Math. Comp. 1968), with row pivoting and column skipping.
+
+    Returns the pivot columns and the sign of the row permutation.  mat ends
+    in row echelon form: past the pivots, row k holds minors of the permuted
+    matrix on rows 0..k and columns pivots[:k] plus its own column, so each
+    division by the previous pivot is exact, and for a nonsingular square
+    matrix sign * mat[-1][-1] is the determinant.  Rows past the rank are zero.
+    """
+    nrows, ncols = len(mat), len(mat[0]) if mat else 0
+    pivots, sign, prev = [], 1, 1
     for c in range(ncols):
-        pivot_row = next((i for i in range(r, len(m)) if m[i][c] != 0), None)
-        if pivot_row is None:
-            continue
-        m[r], m[pivot_row] = m[pivot_row], m[r]
-        inv = 1 / m[r][c]
-        m[r] = [v * inv for v in m[r]]
-        for i in range(len(m)):
-            if i != r and m[i][c] != 0:
-                f = m[i][c]
-                m[i] = [vi - f * vr for vi, vr in zip(m[i], m[r])]
-        pivots.append(c)
-        r += 1
-        if r == len(m):
+        r = len(pivots)
+        if r == nrows:
             break
-    return m, pivots
+        piv = next((i for i in range(r, nrows) if mat[i][c]), None)
+        if piv is None:
+            continue
+        if piv != r:
+            mat[r], mat[piv] = mat[piv], mat[r]
+            sign = -sign
+        top = mat[r]
+        a = top[c]
+        for row in mat[r + 1:]:
+            b = row[c]
+            row[c] = 0
+            for j in range(c + 1, ncols):
+                row[j] = (a * row[j] - b * top[j]) // prev
+        prev = a
+        pivots.append(c)
+    return pivots, sign
 
 
 def matrix_rank(rows: Sequence[Sequence[Fraction]]) -> int:
-    return len(rref(rows)[1])
-
-
-def nullspace(rows: Sequence[Sequence[Fraction]], ncols: int) -> list[tuple[Fraction, ...]]:
-    """Basis of the right kernel of the given row system (ncols unknowns)."""
-    reduced, pivots = rref(rows)
-    free = [c for c in range(ncols) if c not in pivots]
-    basis = []
-    for fc in free:
-        vec = [F0] * ncols
-        vec[fc] = F1
-        for row_idx, pc in enumerate(pivots):
-            vec[pc] = -reduced[row_idx][fc]
-        basis.append(tuple(vec))
-    return basis
+    return len(bareiss([scaled(list(map(Fraction, r)))[0] for r in rows])[0])
 
 
 def determinant(rows: Sequence[Sequence[Fraction]]) -> Fraction:
-    m = [list(map(Fraction, r)) for r in rows]
-    n = len(m)
-    if any(len(r) != n for r in m):
+    """det of a square rational matrix: the determinant of its integer-scaled
+    rows, over the product of their scales."""
+    n = len(rows)
+    if any(len(r) != n for r in rows):
         raise PreconditionError("determinant of a non-square matrix")
-    det = F1
-    for c in range(n):
-        pivot_row = next((i for i in range(c, n) if m[i][c] != 0), None)
-        if pivot_row is None:
-            return F0
-        if pivot_row != c:
-            m[c], m[pivot_row] = m[pivot_row], m[c]
-            det = -det
-        det *= m[c][c]
-        inv = 1 / m[c][c]
-        for i in range(c + 1, n):
-            if m[i][c] != 0:
-                f = m[i][c] * inv
-                m[i] = [vi - f * vc for vi, vc in zip(m[i], m[c])]
-    return det
+    mat, scale = [], 1
+    for r in rows:
+        ints, s = scaled(list(map(Fraction, r)))
+        mat.append(ints)
+        scale *= s
+    pivots, sign = bareiss(mat)
+    if len(pivots) < n:
+        return F0
+    return Fraction(sign * mat[-1][-1], scale) if n else F1

@@ -19,6 +19,7 @@ from typing import Optional, Union
 from . import lp
 from ._record import Record
 from .errors import ComputationError, PreconditionError
+from .exact import scaled
 
 INF = math.inf
 
@@ -119,7 +120,7 @@ class ExactGame(tuple):
     def __new__(cls, rows):
         game = super().__new__(cls, (tuple(r) for r in rows))
         game.columns = tuple(
-            (*lp._scaled([0 if isinstance(v, float) else v for v in col]),
+            (*scaled([0 if isinstance(v, float) else v for v in col]),
              tuple(i for i, v in enumerate(col) if isinstance(v, float)))
             for col in zip(*game))
         return game
@@ -148,7 +149,7 @@ def payoff_floor(matrix, x) -> Entry:
 def _column_payoffs(matrix, weights):
     """Yield sum_i w_i G_ij for each column j, with the convention 0*inf = 0:
     one integer dot product with the stored column, reduced once."""
-    w_ints, w_scale = lp._scaled([Fraction(w) for w in weights])
+    w_ints, w_scale = scaled([Fraction(w) for w in weights])
     for nums, scale, inf_rows in rationalize_matrix(matrix).columns:
         if any(w_ints[i] for i in inf_rows):
             yield INF

@@ -15,6 +15,7 @@ import math
 from fractions import Fraction
 
 from .errors import ComputationError
+from .exact import bareiss, scaled
 
 # ---------------------------------------------------------------------------
 # exact simplex (maximize c.x subject to A x <= b, x >= 0, with b >= 0)
@@ -162,15 +163,9 @@ def _crossover(rows):
     return Fraction(vy, dy), tuple(x), tuple(y)
 
 
-def _scaled(line):
-    """The rational `line` times the lcm of its denominators, and that lcm."""
-    scale = math.lcm(*(a.denominator for a in line))
-    return [a.numerator * (scale // a.denominator) for a in line], scale
-
-
 def _excess(line, nums, v):
     """A number with the sign of sum_t line[t] * nums[t] - v, on integers."""
-    ints, scale = _scaled(line)
+    ints, scale = scaled(line)
     return sum(a * z for a, z in zip(ints, nums)) - scale * v
 
 
@@ -183,40 +178,14 @@ def _solve_bordered(lines):
     the system is singular.
     """
     k = len(lines)
+    n = k + 1
     mat = []
     for line in lines:
-        ints, scale = _scaled(line)
+        ints, scale = scaled(line)
         mat.append(ints + [-scale, 0])
     mat.append([1] * k + [0, 1])
-    sol = _bareiss_solve(mat)
-    if sol is None:
+    if bareiss(mat)[0] != list(range(n)):
         return None
-    nums, det = sol
-    if det < 0:
-        nums, det = [-v for v in nums], -det
-    return nums[:k], nums[k], det
-
-
-def _bareiss_solve(mat):
-    """Solve the square integer system with augmented matrix `mat` (changed
-    in place) by fraction-free elimination; returns (numerators, det) with
-    z_t = numerators[t] / det, or None when the matrix is singular."""
-    n = len(mat)
-    prev = 1
-    for p in range(n):
-        piv = next((r for r in range(p, n) if mat[r][p]), None)
-        if piv is None:
-            return None
-        mat[p], mat[piv] = mat[piv], mat[p]
-        top = mat[p]
-        a = top[p]
-        for r in range(p + 1, n):
-            row = mat[r]
-            b = row[p]
-            row[p] = 0
-            for c in range(p + 1, n + 1):
-                row[c] = (a * row[c] - b * top[c]) // prev
-        prev = a
     det = mat[n - 1][n - 1]
     # det * z_t is an integer by Cramer's rule, so each division is exact
     nums = [0] * n
@@ -224,7 +193,9 @@ def _bareiss_solve(mat):
         row = mat[i]
         acc = det * row[n] - sum(row[j] * nums[j] for j in range(i + 1, n))
         nums[i] = acc // row[i]
-    return nums, det
+    if det < 0:
+        nums, det = [-v for v in nums], -det
+    return nums[:k], nums[k], det
 
 
 def _float_supports(rows):

@@ -2,7 +2,8 @@
 
 Three devices, all exact: Hankel determinant profiles (a trailing run of
 zeros signals rationality at the given truncation), single-point Pade
-solves, and simultaneous reconstruction from jets at several points.  A
+approximants, and simultaneous reconstruction from jets at several points.
+Pade runs the reconstruction's Euclid at its one point.  A
 candidate is only ever returned after re-expanding it at every point and
 matching the full input jets -- the oracle certifies, it never guesses.
 """
@@ -29,12 +30,10 @@ from .exact import (
     ipoly_reverse,
     ipoly_shift,
     iseries_div,
-    nullspace,
     poly,
     poly_deg,
     poly_divmod,
     poly_gcd,
-    poly_mul,
     poly_scale,
 )
 from .formal import LocalSeries, MarkedPoint, check_distinct_points, expand_rational_at_point
@@ -124,9 +123,11 @@ def pade(series, d_num: int, d_den: int) -> Optional[RationalFunction]:
     """Rational function with deg num <= d_num, deg den <= d_den matching the
     series at its base point, verified against the full given jet.
 
-    Returns None when no candidate survives verification (in particular when
-    every solution of the linear system has a denominator vanishing at the
-    point)."""
+    Two such functions that match the jet agree on its first
+    d_num + d_den + 1 coefficients, so they are equal, and one
+    reconstruction (`_reconstruct`) finds the one there is.  Returns None
+    when no candidate survives verification (in particular when every Pade
+    form has a denominator vanishing at the point)."""
     coeffs = _coefficients(series)
     if d_num < 0 or d_den < 0:
         raise PreconditionError("degrees must be >= 0")
@@ -135,23 +136,8 @@ def pade(series, d_num: int, d_den: int) -> Optional[RationalFunction]:
             f"insufficient truncation: need {d_num + d_den + 1} coefficients, "
             f"have {len(coeffs)}"
         )
-    # unknowns q_0..q_{d_den}; rows kill t^(d_num+1)..t^(d_num+d_den) of q*f
-    rows = []
-    for r in range(d_num + 1, d_num + d_den + 1):
-        rows.append([coeffs[r - k] if 0 <= r - k < len(coeffs) else Fraction(0)
-                     for k in range(d_den + 1)])
-    kernel = nullspace(rows, d_den + 1) if rows else [(Fraction(1),)]
-    point = MarkedPoint(getattr(series, "point", 0), Fraction(0))
-    for vec in kernel:
-        den = poly(vec)
-        if not den or vec[0] == 0:
-            continue
-        prod = poly_mul(den, poly(coeffs))
-        num = poly(prod[: d_num + 1])
-        candidate = RationalFunction(num, den)
-        if _matches_jet(candidate, point, coeffs):
-            return candidate
-    return None
+    point = MarkedPoint(getattr(series, "point", 0), F0)
+    return _reconstruct([coeffs], [point], d_num, d_den)
 
 
 def multipoint_reconstruct(jets: Sequence[LocalSeries], d: int,
@@ -180,7 +166,7 @@ def multipoint_reconstruct(jets: Sequence[LocalSeries], d: int,
             f"insufficient total jet order: {conditions} conditions for "
             f"{2 * d + 2} unknowns"
         )
-    return _reconstruct(jets, points, d)
+    return _reconstruct(jets, points, d, d)
 
 
 def _moebius_jet(coeffs: tuple, a, b) -> IPoly:
@@ -209,20 +195,23 @@ def _moebius_jet(coeffs: tuple, a, b) -> IPoly:
 
 
 def _reconstruct(jets: Sequence[LocalSeries], points: Sequence[MarkedPoint],
-                 d: int) -> Optional[RationalFunction]:
-    """Rational function reconstruction from the first 2d + 2 conditions,
-    verified against the full jets.
+                 d_num: int, d_den: int) -> Optional[RationalFunction]:
+    """Rational function reconstruction from the first d_num + d_den + 2
+    conditions (or all of them, if fewer), verified against the full jets.
 
     If infinity is marked, w = 1/(z - c) moves every point to a finite one,
-    c the least non-negative integer that is not a marked coordinate.  The
-    jets are combined by CRT into F mod M with deg M = 2d + 2, and the
-    extended Euclidean algorithm on (M, F) runs to the first remainder r of
-    degree <= d, with cofactor t (t*F = r mod M).  A function of degree <= d
-    matching the data equals r/t (von zur Gathen and Gerhard, Modern
-    Computer Algebra, Thm 5.16 with k = d + 1).  Both steps run on integer
-    polynomials over one denominator (see `exact`); the Euclidean run keeps
-    its remainders primitive, which changes r and t by the same scalar."""
-    remaining = 2 * d + 2
+    c the least non-negative integer that is not a marked coordinate (the
+    callers that mark infinity pass d_num = d_den, a bound on the degree in
+    z and in w alike).  The jets are combined by CRT into F mod M, deg M the
+    number of conditions read, and the extended Euclidean algorithm on
+    (M, F) runs to the first remainder r of degree <= d_num, with cofactor t
+    (t*F = r mod M); a t of degree > d_den is rejected.  A p/q with
+    deg p <= d_num, deg q <= d_den matching the data equals r/t (von zur
+    Gathen and Gerhard, Modern Computer Algebra, Thm 5.16 with
+    k = d_num + 1).  Both steps run on integer polynomials over one
+    denominator (see `exact`); the Euclidean run keeps its remainders
+    primitive, which changes r and t by the same scalar."""
+    remaining = d_num + d_den + 2
     c = None
     if any(pt.is_infinite for pt in points):
         marked = {pt.coordinate for pt in points}
@@ -250,11 +239,11 @@ def _reconstruct(jets: Sequence[LocalSeries], points: Sequence[MarkedPoint],
         f = ipoly_add(f, ipoly_mul(m, ipoly_shift(h, -x)))
         m = ipoly_mul(m, (ipoly_shift(([0] * n + [1], 1), -x)[0], 1))
 
-    # extended Euclid on (M, F) to the first remainder of degree <= d
+    # extended Euclid on (M, F) to the first remainder of degree <= d_num
     for num, den in ipoly_euclid(m[0], f):
-        if len(num) - 1 <= d:
+        if len(num) - 1 <= d_num:
             break
-    if len(den) - 1 > d:
+    if len(den) - 1 > d_den:
         return None
     if c is not None:
         # z = c + 1/w: multiply through by (z - c)**D
@@ -301,7 +290,7 @@ def certify_rationality(
         if len(points) != len(jets):
             raise PreconditionError("one marked point per jet is required")
         check_distinct_points(points)
-        found = _reconstruct(jets, points, cap)
+        found = _reconstruct(jets, points, cap, cap)
         if found is not None:
             return OracleReport("rational", found, orders, cap)
     return OracleReport("not_found", None, orders, cap)

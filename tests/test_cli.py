@@ -398,6 +398,24 @@ def test_cli_float_collision_in_robin_constant_exit_4(tmp_path, problem, mutate)
     assert "Traceback" not in res.stderr
 
 
+@pytest.mark.parametrize("at", ["inf,0", "0,inf", "-inf,0", "inf,inf", "-inf,-inf"])
+def test_cli_greens_at_infinity(at):
+    # any point with an infinite part is the point at infinity of P^1
+    res = run_cli("greens", str(TWO_POINT), "--pole", "0", f"--at={at}")
+    assert res.returncode == 0, res.stdout
+    assert json.loads(res.stdout)["green"] == 1.76274717403909
+
+
+@pytest.mark.parametrize("at", ["nan,0", "0,nan", "nan,inf"])
+def test_cli_greens_not_a_number_exit_4(at):
+    res = run_cli("greens", str(TWO_POINT), "--pole", "0", f"--at={at}")
+    assert res.returncode == 4, res.stderr
+    error = json.loads(res.stdout)["error"]
+    assert error["kind"] == "precondition"
+    assert error["message"].endswith("is not a number")
+    assert "Traceback" not in res.stderr
+
+
 def test_cli_greens_nan_exit_4(tmp_path):
     # endpoints that collide in float give a NaN Green value, which the JSON
     # emitter used to meet with a ValueError traceback

@@ -6,6 +6,7 @@ import pytest
 
 from capgame.errors import PreconditionError
 from capgame.exact import (
+    bareiss,
     determinant,
     format_rational,
     ipoly,
@@ -18,16 +19,24 @@ from capgame.exact import (
     is_prime,
     iseries_div,
     matrix_rank,
-    nullspace,
     padic_valuation,
     parse_rational,
     poly,
     poly_divmod,
     poly_gcd,
-    poly_mul,
     support_primes,
 )
-from fraction_poly import poly_add, poly_eval, poly_reverse, poly_shift, poly_sub, series_div
+from fraction_poly import (
+    poly_add,
+    poly_eval,
+    poly_mul,
+    poly_reverse,
+    poly_shift,
+    poly_sub,
+    reference_determinant,
+    rref,
+    series_div,
+)
 
 F = Fraction
 
@@ -159,11 +168,6 @@ def test_series_div_geometric():
 def test_linear_algebra():
     rows = [[F(1), F(2), F(3)], [F(2), F(4), F(6)], [F(0), F(1), F(1)]]
     assert matrix_rank(rows) == 2
-    ker = nullspace(rows, 3)
-    assert len(ker) == 1
-    v = ker[0]
-    for row in rows:
-        assert sum(a * b for a, b in zip(row, v)) == 0
     assert determinant([[F(1), F(2)], [F(3), F(4)]]) == F(-2)
     assert determinant([[F(1), F(2)], [F(2), F(4)]]) == 0
 
@@ -357,3 +361,64 @@ def test_poly_gcd_matches_the_monic_run():
         if not b:
             want = tuple(v / a[-1] for v in a) if a else ()
         assert poly_gcd(a, b) == want
+
+
+# --- one Bareiss elimination against Fraction Gauss-Jordan ---------------------
+
+
+BAREISS_CASES = {
+    "rank_deficient": [[2, 4, 6], [1, 2, 3], [0, 1, 1]],
+    "rectangular": [[1, 2, 3, 4], [5, 6, 7, 8]],
+    "tall": [[1, 2], [3, 4], [5, 6]],
+    "skips_a_column": [[0, 1, 2], [0, 3, 4], [0, 5, 7]],
+    "swaps_rows": [[0, 1], [1, 0]],
+    "all_zero": [[0, 0], [0, 0], [0, 0]],
+    "nonsingular": [[2, -1, 0], [-1, 2, -1], [0, -1, 2]],
+    "empty": [],
+}
+
+
+@pytest.mark.parametrize("name", sorted(BAREISS_CASES))
+def test_bareiss_matches_fraction_elimination(name):
+    rows = BAREISS_CASES[name]
+    mat = [list(r) for r in rows]
+    pivots, sign = bareiss(mat)
+    assert pivots == rref(rows)[1]
+    assert all(isinstance(v, int) for row in mat for v in row)
+    # row echelon form, zero past the rank
+    for k, row in enumerate(mat):
+        lead = pivots[k] if k < len(pivots) else len(row)
+        assert not any(row[:lead])
+        assert k >= len(pivots) or row[lead] != 0
+    if rows and len(rows) == len(rows[0]) and len(pivots) == len(rows):
+        assert sign * mat[-1][-1] == reference_determinant(rows)
+
+
+def random_rational_matrix(rng, nrows, ncols):
+    """Dense, sparse, or with one row a multiple of another."""
+    kind = rng.choice(["dense", "sparse", "dependent"])
+    density = 0.3 if kind == "sparse" else 1.0
+    rows = [[F(rng.randint(-5, 5), rng.choice(DENOMINATORS)) if rng.random() < density else F(0)
+             for _ in range(ncols)] for _ in range(nrows)]
+    if kind == "dependent" and nrows > 1:
+        i, j = rng.sample(range(nrows), 2)
+        c = F(rng.randint(-3, 3), rng.choice(DENOMINATORS))
+        rows[i] = [c * v for v in rows[j]]
+    return rows
+
+
+def test_determinant_and_rank_match_fraction_reference():
+    rng = random.Random(408)
+    singular = deficient = 0
+    for _ in range(1000):
+        n = rng.randint(0, 6)
+        square = random_rational_matrix(rng, n, n)
+        det = determinant(square)
+        assert det == reference_determinant(square)
+        singular += det == 0
+        nrows, ncols = rng.randint(0, 6), rng.randint(1, 6)
+        rows = random_rational_matrix(rng, nrows, ncols)
+        rank = matrix_rank(rows)
+        assert rank == len(rref(rows)[1])
+        deficient += rank < min(nrows, ncols)
+    assert singular > 100 and deficient > 100

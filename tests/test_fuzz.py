@@ -1,7 +1,8 @@
 """Mutated problem documents end in exit 0, 2, 3 or 4 in bounded time.
 
 Each example takes one of the shipped `problems/*.json`, drops or retypes
-keys, puts extreme numbers in, or duplicates list items, and runs `check`,
+keys, puts extreme numbers in, duplicates list items, or appends valid
+points up to MAX_POINTS in all, and runs `check`,
 `matrix`, `value`, `oracle` and `schedule --K 20` in-process.  An uncaught
 exception or an alarm fails the example.  Explicit examples given as bytes
 are written to the document file as they are.
@@ -24,6 +25,7 @@ PROBLEMS = sorted((Path(__file__).resolve().parent.parent / "problems").glob("*.
 DOCS = {p.stem: json.loads(p.read_text()) for p in PROBLEMS}
 COMMANDS = (["check"], ["matrix"], ["value"], ["oracle"], ["schedule", "--K", "20"])
 SECONDS_PER_EXAMPLE = 30
+MAX_POINTS = 30
 
 EXTREMES = ["1e400", "-1e400", "1e-400", "1e308", 1e308, -1e308, 1e-308, 5e-324, 0, -1,
             2**70, "inf", "-inf", "nan", "1/0", "", "x", True, None, [], {}, 0.5]
@@ -51,15 +53,43 @@ def mutate(doc, path, op, value):
         parent.insert(key, copy.deepcopy(parent[key]))
 
 
+def add_points(doc, count, order):
+    """Append up to `count` points (MAX_POINTS in all), each with a fresh id
+    n >= 0, the coordinate -(n+1)/(2n+3) in [-1/2, -1/3] that no shipped
+    point has, and a series of order+1 coefficients; each is placed in component 0 of every
+    archimedean place with a placement and gets a zero row and column in
+    every extra place.  Parts that earlier mutations retyped are left alone."""
+    def items(key):
+        value = doc.get(key)
+        return value if isinstance(value, list) else []
+
+    points = items("points")
+    ids = [p.get("id") for p in points if isinstance(p, dict)]
+    fresh = 1 + max((i for i in ids if type(i) is int), default=-1)
+    for pid in range(fresh, fresh + min(count, MAX_POINTS - len(points))):
+        points.append({"id": pid, "coordinate": f"{-(pid + 1)}/{2 * pid + 3}"})
+        items("series").append({"point": pid, "coefficients": [str(pid - c) for c in range(order + 1)]})
+        for place in items("arch_places"):
+            if isinstance(place, dict) and isinstance(place.get("placement"), dict):
+                place["placement"][str(pid)] = 0
+        for place in items("extra_places"):
+            rows = place.get("entries") if isinstance(place, dict) else None
+            if isinstance(rows, list) and all(isinstance(r, list) for r in rows):
+                for r in rows:
+                    r.append(0)
+                rows.append([0] * len(rows[0]) if rows else [0])
+
+
 @st.composite
 def mutated_documents(draw):
     doc = copy.deepcopy(DOCS[draw(st.sampled_from(sorted(DOCS)))])
     for _ in range(draw(st.integers(1, 3))):
         choices = list(paths(doc))
-        if not choices:
-            break
-        mutate(doc, draw(st.sampled_from(choices)), draw(st.sampled_from(("drop", "retype", "dup"))),
-               draw(st.sampled_from(EXTREMES)))
+        op = draw(st.sampled_from(("drop", "retype", "dup", "add")))
+        if op == "add":
+            add_points(doc, draw(st.integers(1, MAX_POINTS)), draw(st.integers(0, 2)))
+        elif choices:
+            mutate(doc, draw(st.sampled_from(choices)), op, draw(st.sampled_from(EXTREMES)))
     return doc
 
 
@@ -98,7 +128,7 @@ def _ring(signum, frame):
     raise Alarm(f"a command ran longer than {SECONDS_PER_EXAMPLE} s")
 
 
-@settings(max_examples=150, derandomize=True, database=None, deadline=None)
+@settings(max_examples=200, derandomize=True, database=None, deadline=None)
 @given(mutated_documents())
 @example(with_changes("infinite_interaction", _label_not_a_string))
 @example(with_changes("two_point_interval", _point_beyond_float_range))

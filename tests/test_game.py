@@ -385,6 +385,16 @@ def test_crossover_falls_back_on_degenerate_games(monkeypatch, g):
     assert game_value(g) == bland_game_value(monkeypatch, g)
 
 
+def test_crossover_falls_back_on_a_singular_support(monkeypatch):
+    # a float guess whose support submatrix has two equal columns: the
+    # bordered system is singular, so the crossover gives up and Bland decides
+    rows = [[F(1), F(1), F(0)], [F(0), F(0), F(1)]]
+    monkeypatch.setattr(lp, "_float_supports", lambda rows: ([0, 1], [0, 1]))
+    assert lp._solve_bordered([[F(1), F(1)], [F(0), F(0)]]) is None
+    assert lp._crossover(rows) is None
+    assert lp.solve(rows) == lp.solve_bland(rows)
+
+
 def test_crossover_certifies_strict_pure_saddle_point(monkeypatch):
     g = [[F(3), F(5), F(4)], [F(1), F(0), F(2)], [F(2), F(-1), F(0)]]
     r = game_value(g)

@@ -6,7 +6,7 @@ import pytest
 
 import capgame.exact
 from capgame.errors import PreconditionError
-from capgame.exact import nullspace, poly, poly_deg
+from capgame.exact import poly, poly_deg
 from capgame.formal import INFINITY, LocalSeries, MarkedPoint, expand_rational_at_point
 from capgame.oracle import (
     OracleReport,
@@ -16,7 +16,7 @@ from capgame.oracle import (
     multipoint_reconstruct,
     pade,
 )
-from fraction_poly import poly_reverse, poly_shift
+from fraction_poly import nullspace, poly_reverse, poly_shift, reference_pade
 
 F = Fraction
 
@@ -306,6 +306,40 @@ def reference_certify(jets, points, degree_bound=None):
         if found is not None:
             return OracleReport("rational", found, orders, cap)
     return OracleReport("not_found", None, orders, cap)
+
+
+def random_pade_case(rng):
+    """Degrees (m, n) and a jet at 0 with m + n + 1 coefficients or a few
+    more: of a random function without a pole at 0, the same jet with one
+    coefficient perturbed, mostly zeros, or a non-rational series."""
+    m, n = rng.randint(0, 4), rng.randint(0, 4)
+    length = m + n + 1 + rng.choice([0, 0, 1, 2, 4])
+    kind = rng.choice(["rational", "perturbed", "zero_heavy", "non_rational"])
+    if kind == "zero_heavy":
+        return [F(rng.randint(-3, 3)) if rng.random() < 0.25 else F(0) for _ in range(length)], m, n
+    if kind == "non_rational":
+        series = rng.choice([lambda k: F(1, factorial(k)), lambda k: F((-1) ** k, k + 1),
+                             lambda k: F(rng.randint(-9, 9), rng.randint(1, 4))])
+        return [series(k) for k in range(length)], m, n
+    f = random_rational_function(rng, max_degree=4)
+    while _has_pole(f, MarkedPoint(0, F(0))):
+        f = random_rational_function(rng, max_degree=4)
+    coeffs = list(f.jet(MarkedPoint(0, F(0)), length - 1).coefficients)
+    if kind == "perturbed":
+        coeffs[rng.randrange(length)] += rng.choice([1, -1, F(1, 7)])
+    return coeffs, m, n
+
+
+def test_pade_matches_nullspace_reference():
+    rng = random.Random(20261)
+    seen = set()
+    for _ in range(2000):
+        coeffs, m, n = random_pade_case(rng)
+        want = reference_pade(coeffs, m, n)
+        assert pade(LocalSeries(0, tuple(coeffs)), m, n) == want
+        seen.add((want is None, m == n, len(coeffs) == m + n + 1))
+    # found and not found, m = n and m != n, exact and longer truncation
+    assert len(seen) == 8
 
 
 # small integers are marked often, so the point infinity moves to is not 0
