@@ -38,9 +38,10 @@ class Strategy(Record):
         w = tuple(Fraction(v) for v in self.weights)
         if not w:
             raise PreconditionError("empty strategy")
-        if any(v < 0 for v in w):
+        nums, den = scaled(w)
+        if any(a < 0 for a in nums):
             raise PreconditionError("strategy weights must be nonnegative")
-        if sum(w) != 1:
+        if sum(nums) != den:
             raise PreconditionError("strategy weights must sum to 1 exactly")
         object.__setattr__(self, "weights", w)
 
@@ -130,7 +131,10 @@ def rationalize_matrix(matrix) -> ExactGame:
     """The exact game of a square matrix; an ExactGame is returned as is."""
     if isinstance(matrix, ExactGame):
         return matrix
-    rows = [[rationalize_entry(v) for v in row] for row in getattr(matrix, "entries", matrix)]
+    exact: dict = {}  # float -> Fraction; floats only, as 2**-50 == Fraction(1, 2**50)
+    rows = [[(exact[v] if v in exact else exact.setdefault(v, rationalize_entry(v)))
+             if isinstance(v, float) else rationalize_entry(v) for v in row]
+            for row in getattr(matrix, "entries", matrix)]
     n = len(rows)
     if n == 0 or any(len(r) != n for r in rows):
         raise PreconditionError("game matrix must be square and nonempty")
@@ -147,14 +151,20 @@ def payoff_floor(matrix, x) -> Entry:
 
 
 def _column_payoffs(matrix, weights):
-    """Yield sum_i w_i G_ij for each column j, with the convention 0*inf = 0:
-    one integer dot product with the stored column, reduced once."""
+    """Yield sum_i w_i G_ij for each column j, with the convention 0*inf = 0."""
+    for s, d in _column_sums(matrix, weights):
+        yield Fraction(s, d) if d else INF
+
+
+def _column_sums(matrix, weights):
+    """Yield (s, d), d > 0, with s/d = sum_i w_i G_ij for each column j, or (1, 0) where
+    it is +infinity (0*inf = 0): one integer dot product with the stored column, unreduced."""
     w_ints, w_scale = scaled([Fraction(w) for w in weights])
     for nums, scale, inf_rows in rationalize_matrix(matrix).columns:
         if any(w_ints[i] for i in inf_rows):
-            yield INF
+            yield 1, 0
         else:
-            yield Fraction(sum(map(mul, w_ints, nums)), w_scale * scale)
+            yield sum(map(mul, w_ints, nums)), w_scale * scale
 
 
 def game_value(matrix) -> GameValueResult:
@@ -215,15 +225,17 @@ def _blend_exponent(rows, x, target, strict) -> Optional[int]:
     some bound or for none.  So if this eps fails on the whole matrix, every
     smaller power of two fails too.
     """
-    n = len(rows)
-    high = Fraction(1)
-    for a, b in zip(_column_payoffs(rows, x), _column_payoffs(rows, (Fraction(1, n),) * n)):
-        if b < a:
-            high = min(high, (a - target) / (a - b))
-    if high <= 0:
-        return None
-    # the least k with 2**k > 1/high (strict) or 2**k >= 1/high
-    return max(1, (math.floor(1 / high) if strict else math.ceil(1 / high) - 1).bit_length())
+    n, p, q = len(rows), target.numerator, target.denominator
+    top, bot = 1, 1  # 1/eps for the largest eps admitted so far
+    for (sa, da), (sb, db) in zip(_column_sums(rows, x), _column_sums(rows, (Fraction(1, n),) * n)):
+        if da and db and sb * da < sa * db:  # finite a_j = sa/da above b_j = sb/db
+            num, den = q * (sa * db - sb * da), (sa * q - p * da) * db  # 1/(that bound on eps)
+            if den <= 0:
+                return None
+            if num * bot > top * den:
+                top, bot = num, den
+    # the least k with 2**k > top/bot (strict) or 2**k >= top/bot
+    return max(1, (top // bot if strict else -(-top // bot) - 1).bit_length())
 
 
 def minimax_check(matrix) -> bool:
@@ -288,7 +300,9 @@ def _blend_beating(rows, x, v_prime: Fraction) -> Optional[tuple]:
 
 
 def _beats(rows, weights, v_prime: Fraction) -> bool:
-    return all(col > v_prime for col in _column_payoffs(rows, weights))  # INF > v_prime too
+    """Every column pays more than v_prime (+infinity does): s/d > p/q as s*q > p*d."""
+    p, q = v_prime.numerator, v_prime.denominator
+    return all(s * q > p * d for s, d in _column_sums(rows, weights))
 
 
 def _simplify_strategy(rows, weights, v_prime: Fraction) -> Strategy:

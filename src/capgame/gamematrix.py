@@ -17,7 +17,7 @@ from typing import Optional, Sequence, Union
 
 from ._record import Record
 from .errors import PreconditionError, ProblemFormatError
-from .exact import padic_valuation
+from .exact import padic_valuation, scaled
 from .nonarch import PrimeMatrix
 
 INF = math.inf
@@ -75,9 +75,9 @@ def assemble(
 ) -> GameMatrix:
     """Sum per-place matrices into the global matrix, +infinity absorbing.
 
-    Exact per-prime coefficients are summed first and converted to floats
-    only at the end.  Asymmetry is an error for the built-in contributions
-    and a warning when user-supplied extra matrices are present.
+    Exact per-prime coefficients are summed on integers first and converted
+    to floats only at the end.  Asymmetry is an error for the built-in
+    contributions and a warning when user-supplied extra matrices are present.
     """
     sizes = (
         [len(m) for m in arch]
@@ -97,17 +97,15 @@ def assemble(
         _add_float_matrix(total, m)
         places.append("real" if len(arch) == 1 else f"real[{k}]")
 
-    by_prime: dict[int, list[list[Fraction]]] = {}
+    by_prime: dict[int, list] = {}  # p -> the coefficients of its matrices, flattened
     for pm in nonarch:
-        acc = by_prime.setdefault(pm.p, [[Fraction(0)] * n for _ in range(n)])
-        for i in range(n):
-            for j in range(n):
-                acc[i][j] += pm.coeffs[i][j]
+        by_prime.setdefault(pm.p, []).extend(c for row in pm.coeffs for c in row)
     for p in sorted(by_prime):
+        # entry t sums nums[t], nums[t + n*n], ...; int / int rounds as float(Fraction) does
+        nums, den = scaled(by_prime[p])
         logp = math.log(p)
-        for i in range(n):
-            for j in range(n):
-                total[i][j] += float(by_prime[p][i][j]) * logp
+        for t in range(n * n):
+            total[t // n][t % n] += sum(nums[t::n * n]) / den * logp
         places.append(f"p={p}")
 
     for k, m in enumerate(extra):

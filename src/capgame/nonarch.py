@@ -85,6 +85,8 @@ class PrimeMatrix(Record):
     def __post_init__(self):
         if any(len(r) != len(self.coeffs) for r in self.coeffs):
             raise ProblemFormatError("prime matrix must be square")
+        if not all(isinstance(c, (int, Fraction)) for row in self.coeffs for c in row):
+            raise PreconditionError("prime matrix coefficients must be exact (int or Fraction)")
 
     @property
     def size(self) -> int:

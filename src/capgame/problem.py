@@ -72,6 +72,8 @@ class ProblemSpec(Record):
                 raise ProblemFormatError(f"scaling references unknown point {sc.point}")
         if len({sc.point for sc in self.scalings}) != len(self.scalings):
             raise ProblemFormatError("duplicate scaling for a point")
+        if len({pl.p for pl in self.nonarch_places}) != len(self.nonarch_places):
+            raise ProblemFormatError("duplicate nonarch place for a prime")
         for place in self.nonarch_places:
             for pid in place.log_size_coeffs:
                 if pid not in ids:

@@ -6,8 +6,8 @@ its target share: i_{k+1} minimizes omega_i(k) - k*a_i, ties to the smallest
 id.  The deviations omega_i(k) - k*a_i then stay inside [1 - |I|, 1].
 
 All three routines work on integers: the deviations are scaled by the common
-denominator d of a, and the weighted floor by one common denominator of the
-matrix and v'.  They also certify over one period.  The scaled deviations
+denominator d of a, and each column of the weighted floor by the lcm of its
+denominator and v''s.  They also certify over one period.  The scaled deviations
 vanish together only at multiples of d, and the first step P where they do
 puts the greedy rule back in its start state.  A sequence that repeats with
 period P (checked outright, so hand-built schedules stay sound) has
@@ -25,6 +25,7 @@ from typing import Optional, Sequence
 
 from ._record import Record
 from .errors import PreconditionError
+from .exact import scaled
 from .game import Strategy, _beats, rationalize_matrix
 
 
@@ -83,7 +84,7 @@ def build_schedule(a, K: int, ids: Optional[Sequence[int]] = None) -> Schedule:
     if list(id_list) != sorted(id_list):
         raise PreconditionError("schedule ids must be sorted ascending")
 
-    d, n = _scaled_weights(weights)
+    n, d = scaled(weights)
     # v_i tracks d*(omega_i(k) - k*a_i); pick argmin, then advance one step
     v = [0] * m
     seq = []
@@ -99,13 +100,6 @@ def build_schedule(a, K: int, ids: Optional[Sequence[int]] = None) -> Schedule:
     if P:
         seq = seq * (K // P) + seq[: K % P]
     return Schedule(ids=id_list, a=weights, K=K, sequence=tuple(seq))
-
-
-def _scaled_weights(a) -> tuple:
-    """(d, n) with a_i = n_i / d, d the lcm of the denominators."""
-    weights = [Fraction(w) for w in a]
-    d = math.lcm(*(w.denominator for w in weights))
-    return d, [w.numerator * (d // w.denominator) for w in weights]
 
 
 def _one_period(schedule: Schedule, d: int, n: list) -> list:
@@ -143,7 +137,7 @@ def check_bounds(schedule: Schedule) -> BoundsReport:
     The deviations repeat with the period, so one period covers every step.
     """
     m = schedule.size
-    d, n = _scaled_weights(schedule.a)
+    n, d = scaled([Fraction(w) for w in schedule.a])
     v = [0] * m
     max_num, min_num = 0, 0
     rng = range(m)
@@ -188,16 +182,14 @@ def weighted_floor(schedule: Schedule, matrix, v_prime) -> WeightedFloorReport:
     v_prime = Fraction(v_prime)
     precondition_ok = _beats(game, schedule.a, v_prime)
 
-    d, n = _scaled_weights(schedule.a)
+    n, d = scaled([Fraction(w) for w in schedule.a])
     idx = _one_period(schedule, d, n)
     K, P = len(schedule.sequence), len(idx)
-    # one common denominator D puts v' and every finite entry on the integers
-    D = math.lcm(v_prime.denominator, *(scale for _, scale, _ in game.columns))
-    V = v_prime.numerator * (D // v_prime.denominator)
-    c, worst_k, worst_j = 0, 0, 0
+    c, c_den, worst_k, worst_j = 0, 1, 0, 0
     for j, (nums, scale, inf_rows) in enumerate(game.columns):
-        # D*(v' - G_ij) per visit to i
-        unit = D // scale
+        # D puts v' and the column's finite entries on the integers; D*(v' - G_ij) per visit to i
+        D = math.lcm(scale, v_prime.denominator)
+        unit, V = D // scale, v_prime.numerator * (D // v_prime.denominator)
         gain = [V - a * unit for a in nums]
         # the first visit to an infinite entry satisfies column j for good
         end = min((idx.index(i) for i in inf_rows if i in idx), default=P)
@@ -206,10 +198,10 @@ def weighted_floor(schedule: Schedule, matrix, v_prime) -> WeightedFloorReport:
         if not gaps:
             continue
         gap, k = _worst_step(gaps, K, P)
-        if gap > c or (gap == c and k < worst_k):
-            c, worst_k, worst_j = gap, k, j
+        if gap * c_den > c * D or (gap * c_den == c * D and k < worst_k):  # gap/D against c/c_den
+            c, c_den, worst_k, worst_j = gap, D, k, j
     return WeightedFloorReport(
-        c=Fraction(c, D), precondition_ok=precondition_ok, worst_k=worst_k, worst_column=worst_j
+        c=Fraction(c, c_den), precondition_ok=precondition_ok, worst_k=worst_k, worst_column=worst_j
     )
 
 

@@ -83,7 +83,8 @@ def test_global_matrix_includes_scaling_support_primes():
 @pytest.mark.parametrize("path", [BOREL_DWORK, TWO_POINT], ids=["borel_dwork", "two_point"])
 def test_run_check_rationalizes_each_float_entry_once(monkeypatch, path):
     # the game value, the rational strategy and the weighted floor all read
-    # one exact copy of the matrix instead of rationalizing it three times
+    # one exact copy of the matrix instead of rationalizing it three times,
+    # and that copy rationalizes each distinct float once
     calls = []
     rationalize = game.rationalize_entry
 
@@ -95,7 +96,8 @@ def test_run_check_rationalizes_each_float_entry_once(monkeypatch, path):
     monkeypatch.setattr(game, "rationalize_entry", counting)
     verdict = run_check(load_spec(path))
     assert verdict.schedule_diag is not None
-    assert len(calls) == verdict.matrix.size ** 2
+    assert len(calls) == len(set(calls))
+    assert set(calls) == {v for row in verdict.matrix.entries for v in row if math.isfinite(v)}
 
 
 # --- subcommands -------------------------------------------------------------
@@ -108,6 +110,19 @@ def test_cli_check_exit_zero_and_agreement():
     assert report["agreement"] == "confirmed"
     assert report["V_G"] == pytest.approx(math.log(2), abs=1e-9)
     assert "confirmed" in res.stderr
+
+
+def test_cli_check_prime_declared_twice_exit_2(tmp_path):
+    # the matrix would keep only the last place for p = 2 while the
+    # a-analyticity totals add both
+    doc = json.loads(BOREL_DWORK.read_text())
+    doc["nonarch_places"] = [{"p": 2, "log_size_coeffs": {"0": "-1/2"}},
+                             {"p": 2, "log_size_coeffs": {"0": "-1/3"}}]
+    path = tmp_path / "twice.json"
+    path.write_text(json.dumps(doc))
+    res = run_cli("check", str(path))
+    assert res.returncode == 2
+    assert json.loads(res.stdout)["error"]["message"] == "duplicate nonarch place for a prime"
 
 
 def test_cli_check_missing_file_exit_2():
@@ -226,6 +241,14 @@ def test_cli_scaled_document_matches_golden():
     res = run_cli("check", str(GOLDEN / "two_point_interval_scaled.json"))
     assert res.returncode == 0, res.stderr
     assert res.stdout == (GOLDEN / "two_point_interval_scaled.check.json").read_text()
+
+
+def test_cli_game_wide_document_matches_golden():
+    # ten points, two real places, p = 2 with off-diagonal coefficients, p = 3
+    # and an extra place with a +inf pair: the shape of the game-wide benchmark
+    res = run_cli("check", str(GOLDEN / "game_wide.json"))
+    assert res.returncode == 0, res.stderr
+    assert res.stdout == (GOLDEN / "game_wide.check.json").read_text()
 
 
 def test_cli_deterministic_output():

@@ -632,3 +632,39 @@ def test_stored_columns_match_the_plain_rows():
         assert [type(v) for v in got] == [type(v) for v in want]
         for v_prime in {F(0), F(-1, 3)} | {v - F(1, 10**9) for v in want if v != INF}:
             assert _beats(game, weights, v_prime) == all(v == INF or v > v_prime for v in want)
+
+
+def test_rationalize_matrix_memo_is_keyed_on_floats():
+    # 2**-50 == F(1, 2**50), yet the float rationalizes to 0 and the Fraction stays
+    # itself, whichever of the two the memo meets first
+    game = rationalize_matrix([[2**-50, F(1, 2**50)], [F(1, 2**50), 2**-50]])
+    assert [list(r) for r in game] == [[0, F(1, 2**50)], [F(1, 2**50), 0]]
+    assert all(type(v) is F for r in game for v in r)
+    assert [list(r) for r in rationalize_matrix([[0.0, -0.0], [-0.0, 0.0]])] == [[0, 0], [0, 0]]
+    with pytest.raises(PreconditionError):
+        rationalize_matrix([[1.0, math.nan], [math.nan, 1.0]])
+
+
+def test_beats_matches_the_fraction_comparison():
+    # _beats is an integer sign test; the reference compares reduced Fractions
+    rng = random.Random(211)
+    for case in range(600):
+        n = rng.randint(1, 8)
+        if case % 2:
+            matrix = float_matrix(rng, n, n)
+        else:
+            matrix = random_matrix(rng, n, den=rng.choice((6, 10**12)))
+        for _ in range(rng.randint(0, n)):
+            matrix[rng.randrange(n)][rng.randrange(n)] = INF
+        game = rationalize_matrix(matrix)
+        raw = [F(rng.randint(0, 3), rng.randint(1, 10**rng.randint(1, 12))) for _ in range(n)]
+        weights = [w / sum(raw) for w in raw] if sum(raw) else [F(1, n)] * n  # zeros included
+        payoffs = [running_sum_payoff(list(game), weights, j) for j in range(n)]
+        finite = [v for v in payoffs if v != INF]
+        tests = {F(rng.randint(-20, 20), rng.randint(1, 7))}
+        for v in finite:
+            tests |= {v, v - F(1, 10**rng.randint(1, 30)), v + F(1, 10**rng.randint(1, 30))}
+        for v_prime in tests:
+            assert _beats(game, weights, v_prime) == all(v == INF or v > v_prime for v in payoffs)
+        if finite:  # a column paying exactly v' does not beat it
+            assert not _beats(game, weights, min(finite))

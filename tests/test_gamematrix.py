@@ -1,4 +1,5 @@
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -124,3 +125,53 @@ def test_game_matrix_validation():
         GameMatrix(ids=(0,), entries=((INF,),))
     with pytest.raises(PreconditionError):
         GameMatrix(ids=(0, 1), entries=((0.0, -0.5), (0.0, 0.0)))
+
+
+def _fraction_sum_assemble(arch, nonarch, n):
+    """The entries assemble gives, with each prime's coefficients summed as Fractions."""
+    total = [[0.0] * n for _ in range(n)]
+    for m in arch:
+        for i in range(n):
+            for j in range(n):
+                total[i][j] += m[i][j]
+    for p in sorted({pm.p for pm in nonarch}):
+        for i in range(n):
+            for j in range(n):
+                acc = sum((pm.coeffs[i][j] for pm in nonarch if pm.p == p), F(0))
+                total[i][j] += float(acc) * math.log(p)
+    return total
+
+
+def test_assemble_prime_sums_match_the_fraction_sum():
+    # integer numerators over one denominator per prime give bit-identical floats
+    rng = random.Random(331)
+
+    def coeff():  # numerators and denominators up to 10**20
+        return F(rng.randint(-10**rng.randint(0, 20), 10**rng.randint(0, 20)),
+                 rng.randint(1, 10**rng.randint(0, 20)))
+
+    for case in range(600):
+        n = rng.randint(1, 5)
+        nonarch = []
+        for p in rng.sample((2, 3, 5, 7, 11), rng.randint(1, 3)):
+            for _ in range(rng.randint(1, 3)):  # one to three matrices per prime
+                rows = [[F(0)] * n for _ in range(n)]
+                for i in range(n):
+                    rows[i][i] = coeff()
+                    for j in range(i):
+                        if rng.random() < 0.5:
+                            rows[i][j] = rows[j][i] = abs(coeff())
+                nonarch.append(PrimeMatrix(p, tuple(map(tuple, rows))))
+        arch = []
+        if case % 2:
+            r = [[rng.uniform(0, 3) for _ in range(n)] for _ in range(n)]
+            arch.append(tuple(tuple((r[i][j] + r[j][i]) / 2 for j in range(n)) for i in range(n)))
+        got = assemble(arch, nonarch).entries
+        want = _fraction_sum_assemble(arch, nonarch, n)
+        assert [[v.hex() for v in row] for row in got] == [[v.hex() for v in row] for row in want]
+
+
+def test_prime_matrix_coefficients_must_be_exact():
+    with pytest.raises(PreconditionError, match="exact"):
+        PrimeMatrix(2, ((F(-1, 2), 0), (0, 0.5)))
+    assert PrimeMatrix(2, ((F(-1, 2), 0), (0, F(1, 2)))).size == 2

@@ -1,17 +1,21 @@
 import math
 import random
 from fractions import Fraction
+from itertools import accumulate
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from capgame.errors import PreconditionError
+from capgame.exact import scaled
 from capgame.game import _column_payoffs, rationalize_matrix
 from capgame.schedule import (
     BoundsReport,
     Schedule,
     WeightedFloorReport,
+    _one_period,
+    _worst_step,
     build_schedule,
     check_bounds,
     weighted_floor,
@@ -313,3 +317,58 @@ def test_equivalence_broken_periodic_prefix():
         matrix = _random_matrix(rng, m, rng.choice(["float", "fraction", "inf"]))
         _assert_same(bad, matrix, F(rng.randint(0, 20), 7))
 
+
+
+def _global_denominator_floor(schedule, matrix, v_prime):
+    """weighted_floor with one common denominator D of v' and every column."""
+    game = rationalize_matrix(matrix)
+    v_prime = F(v_prime)
+    precondition_ok = all(col > v_prime for col in _column_payoffs(game, schedule.a))
+    n, d = scaled(schedule.a)
+    idx = _one_period(schedule, d, n)
+    K, P = len(schedule.sequence), len(idx)
+    D = math.lcm(v_prime.denominator, *(scale for _, scale, _ in game.columns))
+    V = v_prime.numerator * (D // v_prime.denominator)
+    c, worst_k, worst_j = 0, 0, 0
+    for j, (nums, scale, inf_rows) in enumerate(game.columns):
+        gain = [V - a * (D // scale) for a in nums]
+        end = min((idx.index(i) for i in inf_rows if i in idx), default=P)
+        gaps = list(accumulate(gain[i] for i in idx[:end]))
+        if not gaps:
+            continue
+        gap, k = _worst_step(gaps, K, P)
+        if gap > c or (gap == c and k < worst_k):
+            c, worst_k, worst_j = gap, k, j
+    return WeightedFloorReport(c=F(c, D), precondition_ok=precondition_ok,
+                               worst_k=worst_k, worst_column=worst_j)
+
+
+def test_weighted_floor_matches_the_global_denominator():
+    # each column on its own denominator, compared by cross-multiplication,
+    # against one denominator for the whole matrix: same c, worst_k and
+    # worst_column, with ties across columns (duplicated columns and small
+    # entries), +inf columns, and points no step visits (K < m: weight 0)
+    rng = random.Random(523)
+    for case in range(600):
+        m = rng.randint(1, 7)
+        a = _random_weights(rng, m, short_period=case % 3 != 0)
+        d = math.lcm(*(w.denominator for w in a))
+        horizons = [0, 1, max(0, m - 2), rng.randint(1, 300)]
+        K = rng.choice(horizons + ([d, 3 * d + 1] if d <= 60 else []))
+        sched = build_schedule(a, K)
+        # small entries on small denominators make equal gaps at different steps common
+        small = case % 2
+        choices = (1, 2) if small else (1, 2, 3, 4, 6, 10**12 - 11, 2**40)
+        dens = [rng.choice(choices) for _ in range(m)]
+        cols = [[F(rng.randint(0, 2) if small else rng.randint(-6, 12), dj) for _ in range(m)]
+                for dj in dens]
+        for _ in range(rng.randint(0, 2)):  # a duplicated column ties with its copy
+            cols[rng.randrange(m)] = list(cols[rng.randrange(m)])
+        for _ in range(rng.randint(0, m)):
+            cols[rng.randrange(m)][rng.randrange(m)] = math.inf
+        matrix = [list(row) for row in zip(*cols)]
+        v_prime = F(rng.randint(-10, 40), rng.choice((1, 2, 3, 7, 9, 10**9 + 7)))
+        if small:
+            v_prime = F(rng.randint(1, 4), rng.choice((1, 2, 4)))
+        got = weighted_floor(sched, matrix, v_prime)
+        assert got == _global_denominator_floor(sched, matrix, v_prime), (case, matrix, v_prime)
