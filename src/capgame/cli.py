@@ -17,6 +17,7 @@ violation.
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import sys
 from fractions import Fraction
@@ -25,7 +26,7 @@ from typing import Optional, Sequence
 from ._record import Record
 from .arch import arch_matrix, green
 from .errors import CapgameError, ComputationError, PreconditionError, ProblemFormatError
-from .exact import format_rational, parse_rational, support_primes
+from .exact import format_int, format_rational, parse_rational, support_primes
 from .game import GameValueResult, game_value, rational_strategy, rationalize_matrix
 from .gamematrix import GameMatrix, assemble, gauge_shift
 from .nonarch import NonArchPlace, a_analyticity_check, nonarch_matrix
@@ -65,7 +66,7 @@ def to_json(value, indent: int = 0) -> str:
     if isinstance(value, Fraction):
         return f'"{format_rational(value)}"'
     if isinstance(value, int):
-        return str(value)
+        return format_int(value)
     if isinstance(value, float):
         return _format_float(value)
     if isinstance(value, str):
@@ -335,7 +336,10 @@ def _cmd_oracle(args) -> tuple[dict, str]:
     return report.to_report(), f"oracle: {report.status} (degree cap {report.degree_cap})"
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command line parser, built on first use and shared by every
+    later `main` call in the process (parsing leaves it unchanged)."""
     parser = argparse.ArgumentParser(
         prog="capgame",
         description="Capacity-game rationality criterion for families of formal series",
@@ -377,8 +381,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         report, summary = args.handler(args)
     except ProblemFormatError as exc:

@@ -4,19 +4,17 @@ integer rows (`bareiss`), under the determinant, the rank and the exact
 LP's linear solve.
 
 Everything in here is pure and exact; floating point never enters.
-Polynomials are tuples of Fractions in ascending degree order, trimmed of
-trailing zeros (the zero polynomial is the empty tuple).
 
-The polynomial arithmetic runs fraction-free on integer polynomials: a
-pair (coefficients, denominator) of a trimmed list of Python ints in
-ascending degree order and one positive int, standing for the polynomial
-with coefficients c_k / denominator (the zero polynomial is ([], 1)).
-Each helper reduces its result once, by the gcd of the denominator and
-all coefficients, instead of one gcd per coefficient operation.  The
-Taylor shift, series division, sum, product and pseudo-division with its
-extended Euclidean sequence are written on these pairs; the Fraction-tuple
-product, quotient and gcd that the oracle's `RationalFunction` uses are
-thin wrappers.
+Polynomials run fraction-free on integer polynomials: a pair
+(coefficients, denominator) of a trimmed list of Python ints in ascending
+degree order and one positive int, standing for the polynomial with
+coefficients c_k / denominator (the zero polynomial is ([], 1)).  Each
+helper reduces its result once, by the gcd of the denominator and all
+coefficients, instead of one gcd per coefficient operation.  The Taylor
+shift, series division, sum, product, pseudo-division with its extended
+Euclidean sequence, gcd and exact quotient are written on these pairs or
+on their integer parts; Fraction tuples appear only at the edges
+(`ipoly`, `ipoly_fractions`).
 
 Linear algebra scales each rational row to integers by the lcm of its
 denominators (`scaled`) and eliminates with Bareiss's fraction-free
@@ -26,6 +24,7 @@ scheme, in which every division is exact.
 from __future__ import annotations
 
 import math
+from decimal import Decimal
 from fractions import Fraction
 from typing import Iterable, Sequence
 
@@ -34,7 +33,6 @@ from .errors import PreconditionError
 F0 = Fraction(0)
 F1 = Fraction(1)
 
-Poly = tuple  # tuple[Fraction, ...], ascending coefficients, trimmed
 IPoly = tuple  # (list[int], int): integer coefficients over one positive denominator
 
 
@@ -50,8 +48,18 @@ def format_rational(q: Fraction) -> str:
     """Canonical string form: "p/q", or "p" when the denominator is 1."""
     q = Fraction(q)
     if q.denominator == 1:
-        return str(q.numerator)
-    return f"{q.numerator}/{q.denominator}"
+        return format_int(q.numerator)
+    return f"{format_int(q.numerator)}/{format_int(q.denominator)}"
+
+
+def format_int(n: int) -> str:
+    """The decimal digits of n, also past the interpreter's limit on
+    int-to-str conversion (`sys.get_int_max_str_digits`), which
+    `decimal.Decimal`'s exact conversion does not apply."""
+    try:
+        return str(n)
+    except ValueError:
+        return str(Decimal(n))
 
 
 # Miller-Rabin with the primes up to 41 as bases decides primality exactly
@@ -135,47 +143,6 @@ def support_primes(q: Fraction) -> tuple[int, ...]:
 
 
 # ---------------------------------------------------------------------------
-# polynomials over Fraction
-
-
-def poly(coeffs: Iterable) -> Poly:
-    """Build a trimmed coefficient tuple from any iterable of rationals."""
-    cs = [Fraction(c) for c in coeffs]
-    while cs and cs[-1] == 0:
-        cs.pop()
-    return tuple(cs)
-
-
-def poly_deg(p: Poly) -> int:
-    """Degree, with deg(0) = -1."""
-    return len(p) - 1
-
-
-def poly_scale(p: Poly, c: Fraction) -> Poly:
-    return poly(v * c for v in p)
-
-
-def poly_divmod(a: Poly, b: Poly) -> tuple[Poly, Poly]:
-    """Quotient and remainder of a by b, from the pseudo-division of their
-    integer parts."""
-    (acs, da), (bcs, db) = ipoly(a), ipoly(b)
-    q, r = ipoly_pdivmod(acs, bcs)
-    scale = da * bcs[-1] ** max(len(acs) - len(bcs) + 1, 0)
-    return ipoly_fractions(_reduced([v * db for v in q], scale)), ipoly_fractions(_reduced(r, scale))
-
-
-def poly_gcd(a: Poly, b: Poly) -> Poly:
-    """Monic greatest common divisor over the rationals (Euclid on primitive
-    integer remainders)."""
-    a, b = ipoly(a)[0], ipoly(b)[0]
-    while b:
-        r = ipoly_pdivmod(a, b)[1]
-        g = math.gcd(*r)
-        a, b = b, [v // g for v in r]
-    return ipoly_fractions((a, a[-1])) if a else ()
-
-
-# ---------------------------------------------------------------------------
 # integer polynomials: (coefficients, denominator) pairs
 
 
@@ -193,7 +160,7 @@ def ipoly(p: Iterable) -> IPoly:
     return scaled(cs)
 
 
-def ipoly_fractions(p: IPoly, length: int = 0) -> Poly:
+def ipoly_fractions(p: IPoly, length: int = 0) -> tuple:
     """The Fraction coefficients of p, zero-padded to at least `length`."""
     cs, den = p
     return tuple(Fraction(c, den) for c in cs) + (F0,) * (length - len(cs))
@@ -340,10 +307,41 @@ def ipoly_euclid(a: list, b: IPoly):
     while r1:
         q, r = ipoly_pdivmod(r0, r1)
         lead = r1[-1] ** (len(r0) - len(r1) + 1)
-        t = ipoly_add(([v * lead for v in t0], 1), ipoly_mul((q, 1), (t1, 1)), -1)[0]
+        # t = lead*t0 - q*t1; its degree is deg q + deg t1 > deg t0
+        t = [v * lead for v in t0] + [0] * (len(q) + len(t1) - 1 - len(t0))
+        for i, c in enumerate(q):
+            if c:
+                for j, e in enumerate(t1):
+                    t[i + j] -= c * e
         g = math.gcd(*r, *t)
-        r0, r1, t0, t1 = r1, [v // g for v in r], t1, [v // g for v in t]
+        if g > 1:
+            r, t = [v // g for v in r], [v // g for v in t]
+        r0, r1, t0, t1 = r1, r, t1, t
         yield r1, t1
+
+
+def ipoly_gcd(a: list, b: list) -> list:
+    """A primitive greatest common divisor of two integer polynomials
+    (Euclid on primitive pseudo-remainders); [] when both are zero."""
+    while b:
+        r = ipoly_pdivmod(a, b)[1]
+        g = math.gcd(*r)
+        a, b = b, [v // g for v in r]
+    g = math.gcd(*a)
+    return [v // g for v in a]
+
+
+def ipoly_quotient(a: list, b: list) -> list:
+    """a / b for integer polynomials where the primitive b divides a; the
+    quotient has integer coefficients (Gauss's lemma), so every leading
+    division is exact."""
+    db, lead = len(b) - 1, b[-1]
+    r, q = list(a), [0] * max(len(a) - db, 0)
+    for k in range(len(q) - 1, -1, -1):
+        c = q[k] = r[k + db] // lead
+        for i, e in enumerate(b):
+            r[k + i] -= c * e
+    return q
 
 
 # ---------------------------------------------------------------------------

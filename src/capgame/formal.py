@@ -14,7 +14,8 @@ from typing import Sequence, Union
 
 from ._record import Record
 from .errors import PreconditionError, ProblemFormatError
-from .exact import format_rational, ipoly, ipoly_fractions, ipoly_reverse, ipoly_shift, iseries_div
+from .exact import (IPoly, format_rational, ipoly, ipoly_fractions, ipoly_reverse, ipoly_shift,
+                    iseries_div)
 
 #: Coordinate of the point at infinity.
 INFINITY = math.inf
@@ -84,25 +85,30 @@ def expand_rational_at_point(num, den, point: MarkedPoint, order: int) -> LocalS
     """
     if order < 0:
         raise PreconditionError("expansion order must be >= 0")
-    num_p, den_p = ipoly(num), ipoly(den)
-    if not den_p[0]:
+    jet = ipoly_jet(ipoly(num), ipoly(den), point, order)
+    return LocalSeries(point.id, ipoly_fractions(jet, order + 1))
+
+
+def ipoly_jet(num: IPoly, den: IPoly, point: MarkedPoint, order: int) -> IPoly:
+    """`expand_rational_at_point` on integer polynomials: the jet's first
+    order + 1 coefficients, reduced over one denominator (see `exact`)."""
+    if not den[0]:
         raise PreconditionError("zero denominator polynomial")
-    if not num_p[0]:
-        return LocalSeries(point.id, (Fraction(0),) * (order + 1))
+    if not num[0]:
+        return [], 1
     if point.is_infinite:
         # t = 1/z: divide the degree-D reversals, D = max(deg num, deg den)
-        deg = max(len(num_p[0]), len(den_p[0])) - 1
-        num_t = ipoly_reverse(num_p, deg)
-        den_t = ipoly_reverse(den_p, deg)
+        deg = max(len(num[0]), len(den[0])) - 1
+        num_t = ipoly_reverse(num, deg)
+        den_t = ipoly_reverse(den, deg)
     else:
-        num_t = ipoly_shift(num_p, point.coordinate)
-        den_t = ipoly_shift(den_p, point.coordinate)
+        num_t = ipoly_shift(num, point.coordinate)
+        den_t = ipoly_shift(den, point.coordinate)
     if den_t[0][0] == 0:
         raise PreconditionError(
             f"pole at the marked point {coordinate_str(point.coordinate)}"
         )
-    coeffs = ipoly_fractions(iseries_div(num_t, den_t, order), order + 1)
-    return LocalSeries(point.id, coeffs)
+    return iseries_div(num_t, den_t, order)
 
 
 def check_distinct_points(points: Sequence[MarkedPoint]) -> None:

@@ -170,25 +170,26 @@ def gauge_shift(
     """Shift every place matrix's diagonal by -log|a_i| at that place.
 
     At the real place the shift is -log|a_i|; at a prime p it is the exact
-    coefficient v_p(a_i) (times log p).  Off-diagonal entries never change.
+    coefficient v_p(a_i) (times log p).  Off-diagonal entries never change,
+    and when every a_i is 1 the matrices are returned as they are.
     `scalings` is aligned with the matrix index order.
     """
     a = [Fraction(s) for s in scalings]
     if any(s == 0 for s in a):
         raise PreconditionError("tangent scaling must be nonzero")
+    if any((m.size if isinstance(m, PrimeMatrix) else len(m)) != len(a) for m in matrices):
+        raise PreconditionError("scaling vector does not match matrix size")
+    if all(s == 1 for s in a):
+        return list(matrices)
     out: list = []
     for m in matrices:
         if isinstance(m, PrimeMatrix):
-            if m.size != len(a):
-                raise PreconditionError("scaling vector does not match matrix size")
             rows = [list(row) for row in m.coeffs]
             for i, ai in enumerate(a):
                 rows[i][i] += padic_valuation(ai, m.p)
             out.append(PrimeMatrix(m.p, tuple(tuple(r) for r in rows)))
         else:
             rows = [[float(v) for v in row] for row in m]
-            if len(rows) != len(a):
-                raise PreconditionError("scaling vector does not match matrix size")
             for i, ai in enumerate(a):
                 rows[i][i] -= _log_abs(ai)
             out.append(tuple(tuple(r) for r in rows))

@@ -21,22 +21,21 @@ from .exact import (
     F0,
     F1,
     IPoly,
+    _reduced,
     determinant,
-    format_rational,
     ipoly,
     ipoly_add,
     ipoly_euclid,
+    ipoly_fractions,
+    ipoly_gcd,
     ipoly_mul,
+    ipoly_quotient,
     ipoly_reverse,
     ipoly_shift,
     iseries_div,
-    poly,
-    poly_deg,
-    poly_divmod,
-    poly_gcd,
-    poly_scale,
+    scaled,
 )
-from .formal import LocalSeries, MarkedPoint, check_distinct_points, expand_rational_at_point
+from .formal import LocalSeries, MarkedPoint, check_distinct_points, expand_rational_at_point, ipoly_jet
 
 
 class RationalFunction(Record):
@@ -46,51 +45,40 @@ class RationalFunction(Record):
     denominator: tuple
 
     def __post_init__(self):
-        num, den = poly(self.numerator), poly(self.denominator)
-        if not den:
-            raise PreconditionError("zero denominator")
-        g = poly_gcd(num, den) if num else ()
-        if g and poly_deg(g) > 0:
-            num = poly_divmod(num, g)[0]
-            den = poly_divmod(den, g)[0]
-        lead = den[-1]
-        if lead != 1:
-            num = poly_scale(num, 1 / lead)
-            den = poly_scale(den, 1 / lead)
-        if not num:
-            den = (Fraction(1),)
-        object.__setattr__(self, "numerator", num)
-        object.__setattr__(self, "denominator", den)
+        self._store(*_normal_form(ipoly(self.numerator), ipoly(self.denominator)))
+
+    def _store(self, num: IPoly, den: IPoly) -> None:
+        object.__setattr__(self, "numerator", ipoly_fractions(num))
+        object.__setattr__(self, "denominator", ipoly_fractions(den))
 
     @property
     def degree(self) -> int:
-        return max(poly_deg(self.numerator), poly_deg(self.denominator), 0)
+        return max(len(self.numerator), len(self.denominator)) - 1
 
     def jet(self, point: MarkedPoint, order: int) -> LocalSeries:
         return expand_rational_at_point(self.numerator, self.denominator, point, order)
 
-    def __str__(self) -> str:
-        return f"({_poly_str(self.numerator)}) / ({_poly_str(self.denominator)})"
 
-
-def _poly_str(p) -> str:
-    if not p:
-        return "0"
-    terms = []
-    for k, c in enumerate(p):
-        if c == 0:
-            continue
-        if k == 0:
-            terms.append(format_rational(c))
-        else:
-            z = "z" if k == 1 else f"z^{k}"
-            terms.append(z if c == 1 else f"{format_rational(c)}*{z}")
-    return " + ".join(terms)
+def _normal_form(num: IPoly, den: IPoly) -> tuple[IPoly, IPoly]:
+    """num/den without common factors and with a monic denominator, as two
+    reduced integer pairs."""
+    (n, dn), (d, dd) = num, den
+    if not d:
+        raise PreconditionError("zero denominator")
+    if not n:
+        return ([], 1), ([1], 1)
+    g = ipoly_gcd(n, d)
+    if len(g) > 1:
+        n, d = ipoly_quotient(n, g), ipoly_quotient(d, g)
+    # (n/dn) / (d/dd) = (n*dd / (dn*lead)) / (d/lead), lead = lc(d)
+    lead = d[-1]
+    if lead < 0:
+        n, d, lead = [-v for v in n], [-v for v in d], -lead
+    return _reduced([v * dd for v in n], dn * lead), _reduced(d, lead)
 
 
 def _coefficients(series) -> tuple:
-    coeffs = getattr(series, "coefficients", series)
-    return tuple(Fraction(c) for c in coeffs)
+    return series.coefficients if isinstance(series, LocalSeries) else tuple(map(Fraction, series))
 
 
 def hankel_profile(series, max_order: int) -> list:
@@ -109,14 +97,6 @@ def hankel_profile(series, max_order: int) -> list:
         mat = [[coeffs[i + j] for j in range(n + 1)] for i in range(n + 1)]
         dets.append(determinant(mat))
     return dets
-
-
-def _matches_jet(candidate: RationalFunction, point: MarkedPoint, coeffs: tuple) -> bool:
-    try:
-        jet = candidate.jet(point, len(coeffs) - 1)
-    except PreconditionError:
-        return False
-    return jet.coefficients == coeffs
 
 
 def pade(series, d_num: int, d_den: int) -> Optional[RationalFunction]:
@@ -169,16 +149,16 @@ def multipoint_reconstruct(jets: Sequence[LocalSeries], d: int,
     return _reconstruct(jets, points, d, d)
 
 
-def _moebius_jet(coeffs: tuple, a, b) -> IPoly:
-    """The jet sum_k c_k t^k rewritten in s, where t = a*s / (1 + b*s), as
-    integers over one denominator.
+def _moebius_jet(jet: IPoly, a, b) -> IPoly:
+    """The jet sum_k c_k t^k (integers over one denominator, untrimmed)
+    rewritten in s, where t = a*s / (1 + b*s), over one denominator.
 
     The coefficient of s^n in (a*s)^k (1 + b*s)^(-k) is
     a^k (-b)^(n-k) C(n-1, k-1) for 1 <= k <= n, which is
     alpha^k beta^(n-k) C(n-1, k-1) / gamma^n with a = a1/a2, b = b1/b2,
     alpha = a1*b2, beta = -b1*a2 and gamma = a2*b2."""
-    cs, den = ipoly(coeffs)
-    order = len(coeffs) - 1
+    cs, den = jet
+    order = len(cs) - 1
     alpha = a.numerator * b.denominator
     beta = -b.numerator * a.denominator
     gamma = a.denominator * b.denominator
@@ -187,10 +167,10 @@ def _moebius_jet(coeffs: tuple, a, b) -> IPoly:
         a_pow.append(a_pow[-1] * alpha)
         b_pow.append(b_pow[-1] * beta)
         g_pow.append(g_pow[-1] * gamma)
-    out = [cs[0] * g_pow[order] if cs else 0]
+    out = [cs[0] * g_pow[order]]
     for n in range(1, order + 1):
         out.append(g_pow[order - n] * sum(cs[k] * a_pow[k] * b_pow[n - k] * comb(n - 1, k - 1)
-                                          for k in range(1, min(n, len(cs) - 1) + 1) if cs[k]))
+                                          for k in range(1, n + 1) if cs[k]))
     return out, den * g_pow[order]
 
 
@@ -208,27 +188,30 @@ def _reconstruct(jets: Sequence[LocalSeries], points: Sequence[MarkedPoint],
     (t*F = r mod M); a t of degree > d_den is rejected.  A p/q with
     deg p <= d_num, deg q <= d_den matching the data equals r/t (von zur
     Gathen and Gerhard, Modern Computer Algebra, Thm 5.16 with
-    k = d_num + 1).  Both steps run on integer polynomials over one
-    denominator (see `exact`); the Euclidean run keeps its remainders
-    primitive, which changes r and t by the same scalar."""
+    k = d_num + 1).  Each jet is converted once to integers over one
+    denominator, and every step to the verified function runs on integer
+    polynomials (see `exact`); the Euclid's primitive remainders change r
+    and t by the same scalar."""
     remaining = d_num + d_den + 2
     c = None
     if any(pt.is_infinite for pt in points):
         marked = {pt.coordinate for pt in points}
         c = next(n for n in count() if n not in marked)
+    ints = [scaled(_coefficients(j)) for j in jets]
     nodes = []
-    for jet, pt in zip(jets, points):
-        coeffs = _coefficients(jet)[:remaining]
-        if not coeffs:
+    for (cs, den), pt in zip(ints, points):
+        jet = cs[:remaining], den
+        if not jet[0]:
             break
-        remaining -= len(coeffs)
+        n = len(jet[0])
+        remaining -= n
         if c is None:
-            nodes.append((pt.coordinate, len(coeffs), ipoly(coeffs)))
+            nodes.append((pt.coordinate, n, jet))
         elif pt.is_infinite:
-            nodes.append((F0, len(coeffs), _moebius_jet(coeffs, F1, c)))
+            nodes.append((F0, n, _moebius_jet(jet, F1, c)))
         else:
             u = pt.coordinate - c
-            nodes.append((1 / u, len(coeffs), _moebius_jet(coeffs, -u * u, u)))
+            nodes.append((1 / u, n, _moebius_jet(jet, -u * u, u)))
 
     # Hermite CRT on integer polynomials: F <- F + M*h with M*h = jet - F
     # mod (z - x)**n at each node; M is kept primitive as a product of
@@ -249,10 +232,17 @@ def _reconstruct(jets: Sequence[LocalSeries], points: Sequence[MarkedPoint],
         # z = c + 1/w: multiply through by (z - c)**D
         deg = max(len(num), len(den)) - 1
         num, den = (ipoly_shift(ipoly_reverse((p, 1), deg), -c)[0] for p in (num, den))
-    candidate = RationalFunction(num, den)
-    if all(_matches_jet(candidate, pt, _coefficients(j)) for j, pt in zip(jets, points)):
-        return candidate
-    return None
+    num, den = _normal_form((num, 1), (den, 1))
+    for (cs, d), pt in zip(ints, points):
+        try:
+            got, got_d = ipoly_jet(num, den, pt, len(cs) - 1)
+        except PreconditionError:  # a pole at the point
+            return None
+        if got_d != d or got + [0] * (len(cs) - len(got)) != cs:
+            return None
+    found = object.__new__(RationalFunction)  # already in normal form
+    found._store(num, den)
+    return found
 
 
 class OracleReport(Record):

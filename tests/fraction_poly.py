@@ -1,15 +1,19 @@
 """Fraction-tuple polynomial helpers over `capgame.exact`'s integer pairs,
-and Fraction references for the package's exact linear algebra.
+and Fraction references for the package's exact polynomial and linear
+algebra.
 
-The package itself runs on (coefficients, denominator) pairs; these thin
+The package itself runs on (coefficients, denominator) pairs; the thin
 wrappers let tests state inputs and expected values as tuples of Fractions.
-The references are plain Gauss-Jordan elimination over the rationals and the
-Pade solve by one nullspace that `capgame.exact.bareiss` and
-`capgame.oracle.pade` are checked against.
+The references are plain computations over the rationals: trimmed
+coefficient tuples with long division, the monic Euclidean gcd, the
+normal form and the jets of a rational function, Gauss-Jordan elimination
+and the Pade solve by one nullspace, which `capgame.exact`,
+`capgame.oracle` and `capgame.formal` are checked against.
 """
 
 from fractions import Fraction
 
+from capgame.errors import PreconditionError
 from capgame.exact import (
     F0,
     F1,
@@ -20,10 +24,9 @@ from capgame.exact import (
     ipoly_reverse,
     ipoly_shift,
     iseries_div,
-    poly,
 )
 from capgame.formal import MarkedPoint
-from capgame.oracle import RationalFunction, _matches_jet
+from capgame.oracle import RationalFunction
 
 
 def poly_add(p, q):
@@ -62,6 +65,98 @@ def series_div(num, den, order: int) -> list:
 
 
 # --- Fraction references -----------------------------------------------------
+
+
+def poly(coeffs):
+    """A trimmed tuple of Fractions from any iterable of rationals."""
+    cs = [Fraction(c) for c in coeffs]
+    while cs and cs[-1] == 0:
+        cs.pop()
+    return tuple(cs)
+
+
+def poly_deg(p) -> int:
+    """Degree, with deg(0) = -1."""
+    return len(p) - 1
+
+
+def poly_scale(p, c):
+    return poly(v * c for v in p)
+
+
+def poly_divmod(a, b):
+    """Quotient and remainder of a by b by long division over the rationals."""
+    q = [F0] * max(len(a) - len(b) + 1, 0)
+    r = list(a)
+    while len(r) >= len(b):
+        coeff, shift = r[-1] / b[-1], len(r) - len(b)
+        q[shift] = coeff
+        for i, c in enumerate(b):
+            r[i + shift] -= coeff * c
+        r = list(poly(r))
+    return poly(q), tuple(r)
+
+
+def poly_gcd(a, b):
+    """Monic greatest common divisor by the Euclidean algorithm."""
+    while b:
+        a, b = b, poly_divmod(a, b)[1]
+    return poly_scale(a, 1 / a[-1]) if a else ()
+
+
+def reference_normal_form(num, den):
+    """num/den over its monic gcd, scaled to a monic denominator."""
+    num, den = poly(num), poly(den)
+    if not num:
+        return (), (F1,)
+    g = poly_gcd(num, den)
+    num, den = poly_divmod(num, g)[0], poly_divmod(den, g)[0]
+    return poly_scale(num, 1 / den[-1]), poly_scale(den, 1 / den[-1])
+
+
+def fraction_mul(p, q):
+    out = [F0] * max(len(p) + len(q) - 1, 0)
+    for i, a in enumerate(p):
+        for j, b in enumerate(q):
+            out[i + j] += a * b
+    return poly(out)
+
+
+def fraction_shift(p, a):
+    """p(t + a) by Horner's rule, out <- out*(t + a) + c."""
+    out = []
+    for c in reversed(p):
+        new = [F0] * (len(out) + 1)
+        for i, v in enumerate(out):
+            new[i + 1] += v
+            new[i] += a * v
+        new[0] += c
+        out = new
+    return poly(out)
+
+
+def fraction_series_div(num, den, order):
+    out = []
+    for k in range(order + 1):
+        acc = num[k] if k < len(num) else F0
+        for j in range(1, min(k, len(den) - 1) + 1):
+            acc -= den[j] * out[k - j]
+        out.append(acc / den[0])
+    return out
+
+
+def reference_jet(num, den, point, order):
+    """The first order + 1 coefficients of num/den in the local parameter
+    at `point`; PreconditionError at a pole of the given representation."""
+    num, den = poly(num), poly(den)
+    if point.is_infinite:
+        deg = max(len(num), len(den)) - 1
+        num, den = (tuple(reversed(p + (F0,) * (deg + 1 - len(p)))) for p in (num, den))
+    else:
+        num, den = fraction_shift(num, point.coordinate), fraction_shift(den, point.coordinate)
+    if not den or den[0] == 0:
+        raise PreconditionError("pole at the point")
+    return tuple(fraction_series_div(num, den, order))
 
 
 def rref(rows):
@@ -141,6 +236,9 @@ def reference_pade(coeffs, d_num, d_den):
             continue
         num = poly(poly_mul(den, poly(coeffs))[: d_num + 1])
         candidate = RationalFunction(num, den)
-        if _matches_jet(candidate, MarkedPoint(0, F0), coeffs):
-            return candidate
+        try:
+            if candidate.jet(MarkedPoint(0, F0), len(coeffs) - 1).coefficients == coeffs:
+                return candidate
+        except PreconditionError:
+            continue
     return None

@@ -2,13 +2,14 @@ import json
 import math
 import subprocess
 import sys
+import time
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 from capgame import game
-from capgame.cli import build_global_matrix, main, run_check, to_json
+from capgame.cli import build_global_matrix, build_parser, main, run_check, to_json
 from capgame.problem import parse_problem
 
 F = Fraction
@@ -276,6 +277,52 @@ def test_to_json_formats():
     # keys are emitted sorted, floats at 15 significant digits
     assert to_json({"b": 1, "a": 2}).index('"a"') < to_json({"b": 1, "a": 2}).index('"b"')
     assert to_json(math.log(2)) == "0.693147180559945"
+
+
+def _digits(n: int) -> str:
+    """The decimal digits of n >= 0, in blocks of 1,000 digits, each below
+    int->str's digit limit."""
+    blocks = []
+    while n >= 10**1000:
+        n, r = divmod(n, 10**1000)
+        blocks.append(f"{r:01000d}")
+    return str(n) + "".join(reversed(blocks))
+
+
+def test_to_json_past_the_int_digit_limit():
+    # 3**20000 has 9,543 digits, past the 4,300 that str(int) accepts by default
+    n = 3**20000
+    start = time.perf_counter()
+    out = to_json(F(n, 7))
+    assert time.perf_counter() - start < 0.1
+    assert out == f'"{_digits(n)}/7"'
+    assert to_json(F(7, n)) == f'"7/{_digits(n)}"'
+    assert to_json(-n) == f"-{_digits(n)}"
+
+
+# --- one parser per process ----------------------------------------------------
+
+
+def test_build_parser_is_built_once():
+    assert build_parser() is build_parser()
+
+
+def test_main_reuses_the_parser_across_calls(tmp_path, capsys):
+    # a parse error, an argparse error and a full check in one process give
+    # what a fresh interpreter gives for each
+    broken = tmp_path / "broken.json"
+    broken.write_text("{")
+    build_parser()
+    runs = [["check", str(broken)], ["no_such_command", str(BOREL_DWORK)], ["check", str(BOREL_DWORK)]]
+    for argv in runs:
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        out, err = capsys.readouterr()
+        fresh = run_cli(*argv)
+        assert (code, out, err) == (fresh.returncode, fresh.stdout, fresh.stderr), argv
+    assert [code, out] == [0, (GOLDEN / "borel_dwork.check.json").read_text()]
 
 
 # --- malformed documents exit 2 ----------------------------------------------

@@ -13,22 +13,27 @@ from capgame.exact import (
     ipoly_add,
     ipoly_euclid,
     ipoly_fractions,
+    ipoly_gcd,
     ipoly_mul,
     ipoly_pdivmod,
+    ipoly_quotient,
     ipoly_shift,
     is_prime,
     iseries_div,
     matrix_rank,
     padic_valuation,
     parse_rational,
-    poly,
-    poly_divmod,
-    poly_gcd,
     support_primes,
 )
 from fraction_poly import (
+    fraction_mul,
+    fraction_series_div,
+    fraction_shift,
+    poly,
     poly_add,
+    poly_divmod,
     poly_eval,
+    poly_gcd,
     poly_mul,
     poly_reverse,
     poly_shift,
@@ -157,6 +162,11 @@ def test_poly_gcd():
     b = poly_mul(poly([1, 1]), poly([3, 1]))
     assert poly_gcd(a, b) == (F(1), F(1))
     assert poly_gcd(poly([4]), poly([0, 2])) == (F(1),)
+    # on integers: a primitive gcd, and exact quotients by it
+    assert ipoly_gcd([4, 6, 2], [-6, -8, -2]) in ([1, 1], [-1, -1])
+    assert ipoly_gcd([4], [0, 2]) == [1] and ipoly_gcd([], []) == []
+    assert ipoly_quotient([2, 6, 4], [1, 1]) == [2, 4]
+    assert ipoly_quotient([-6, 7, -2], [-2, 1]) == [3, -2]
 
 
 def test_series_div_geometric():
@@ -182,55 +192,12 @@ def trim(cs):
     return tuple(cs)
 
 
-def fraction_mul(p, q):
-    out = [F(0)] * max(len(p) + len(q) - 1, 0)
-    for i, a in enumerate(p):
-        for j, b in enumerate(q):
-            out[i + j] += a * b
-    return trim(out)
-
-
-def fraction_shift(p, a):
-    """p(t + a) by Horner's rule, out <- out*(t + a) + c."""
-    out = []
-    for c in reversed(p):
-        new = [F(0)] * (len(out) + 1)
-        for i, v in enumerate(out):
-            new[i + 1] += v
-            new[i] += a * v
-        new[0] += c
-        out = new
-    return trim(out)
-
-
-def fraction_series_div(num, den, order):
-    out = []
-    for k in range(order + 1):
-        acc = num[k] if k < len(num) else F(0)
-        for j in range(1, min(k, len(den) - 1) + 1):
-            acc -= den[j] * out[k - j]
-        out.append(acc / den[0])
-    return out
-
-
-def fraction_divmod(a, b):
-    q = [F(0)] * max(len(a) - len(b) + 1, 0)
-    r = list(a)
-    while len(r) >= len(b):
-        coeff, shift = r[-1] / b[-1], len(r) - len(b)
-        q[shift] = coeff
-        for i, c in enumerate(b):
-            r[i + shift] -= coeff * c
-        r = list(trim(r))
-    return trim(q), tuple(r)
-
-
 def monic_euclid(a, b):
     """The extended Euclidean sequence over Fraction with monic remainders."""
     r0, r1, t0, t1 = a, b, (), (F(1),)
     yield r1, t1
     while r1:
-        q, r = fraction_divmod(r0, r1)
+        q, r = poly_divmod(r0, r1)
         prod = fraction_mul(q, t1)
         t = trim((t0[i] if i < len(t0) else 0) - (prod[i] if i < len(prod) else 0)
                  for i in range(max(len(t0), len(prod))))
@@ -314,7 +281,7 @@ def test_pseudo_division_matches_fractions():
         a, b = random_fraction_poly(rng), random_fraction_poly(rng, 5)
         if not b:
             continue
-        (acs, _), (bcs, _) = ipoly(a), ipoly(b)
+        (acs, da), (bcs, db) = ipoly(a), ipoly(b)
         q, r = ipoly_pdivmod(acs, bcs)
         lead = bcs[-1] ** max(len(acs) - len(bcs) + 1, 0)
         prod = fraction_mul(tuple(map(F, q)), tuple(map(F, bcs)))
@@ -322,7 +289,8 @@ def test_pseudo_division_matches_fractions():
             (prod[i] if i < len(prod) else 0) + (r[i] if i < len(r) else 0)
             for i in range(max(len(prod), len(r))))
         assert len(r) < len(bcs)
-        assert poly_divmod(a, b) == fraction_divmod(a, b)
+        scale = da * lead
+        assert poly_divmod(a, b) == (poly(F(v * db, scale) for v in q), poly(F(v, scale) for v in r))
     with pytest.raises(ZeroDivisionError):
         ipoly_pdivmod([1, 2], [])
 
@@ -361,6 +329,9 @@ def test_poly_gcd_matches_the_monic_run():
         if not b:
             want = tuple(v / a[-1] for v in a) if a else ()
         assert poly_gcd(a, b) == want
+        g = ipoly_gcd(ipoly(a)[0], ipoly(b)[0])
+        assert math.gcd(*g) in (0, 1)
+        assert tuple(F(v, g[-1]) for v in g) == want
 
 
 # --- one Bareiss elimination against Fraction Gauss-Jordan ---------------------

@@ -175,3 +175,15 @@ def test_prime_matrix_coefficients_must_be_exact():
     with pytest.raises(PreconditionError, match="exact"):
         PrimeMatrix(2, ((F(-1, 2), 0), (0, 0.5)))
     assert PrimeMatrix(2, ((F(-1, 2), 0), (0, F(1, 2)))).size == 2
+
+
+def test_gauge_shift_without_scalings_returns_the_matrices():
+    arch = ((1.0, 0.5), (0.5, 2.0))
+    primes = [PrimeMatrix(2, ((F(0), F(1)), (F(1), F(0)))), nonarch_matrix(NonArchPlace(3), [0, 1])]
+    shifted = gauge_shift([arch] + primes, [F(1), F(1)])
+    assert len(shifted) == 3 and all(s is m for s, m in zip(shifted, [arch] + primes))
+    # the size and zero checks still run
+    with pytest.raises(PreconditionError, match="does not match"):
+        gauge_shift(primes, [F(1)])
+    with pytest.raises(PreconditionError, match="nonzero"):
+        gauge_shift(primes, [F(1), F(0)])

@@ -5,8 +5,8 @@ from math import factorial
 import pytest
 
 import capgame.exact
+import capgame.oracle
 from capgame.errors import PreconditionError
-from capgame.exact import poly, poly_deg
 from capgame.formal import INFINITY, LocalSeries, MarkedPoint, expand_rational_at_point
 from capgame.oracle import (
     OracleReport,
@@ -16,7 +16,17 @@ from capgame.oracle import (
     multipoint_reconstruct,
     pade,
 )
-from fraction_poly import nullspace, poly_reverse, poly_shift, reference_pade
+from fraction_poly import (
+    fraction_mul,
+    nullspace,
+    poly,
+    poly_deg,
+    poly_reverse,
+    poly_shift,
+    reference_jet,
+    reference_normal_form,
+    reference_pade,
+)
 
 F = Fraction
 
@@ -418,3 +428,99 @@ def test_reconstruction_reads_only_2cap_plus_2_conditions(monkeypatch):
     rep = certify_rationality(jets, points, degree_bound=1)
     assert rep.function == f
     assert max(degrees) == 4
+
+
+# --- integer normal form and verification against Fraction references ---------
+
+BIG = 10**21 + 7  # jet denominators above 10**20
+
+
+def random_coefficients(rng, length, big=False):
+    dens = [1, 1, 2, 3, BIG] if big else [1, 1, 2, 3]
+    return [F(rng.randint(-5, 5), rng.choice(dens)) for _ in range(length)]
+
+
+def test_normal_form_matches_the_fraction_reference():
+    rng = random.Random(20291)
+    for k in range(120):
+        common = poly(random_coefficients(rng, rng.randint(1, 3), big=k % 3 == 0))
+        num = poly(random_coefficients(rng, rng.randint(0, 4), big=k % 2 == 0))
+        den = poly(random_coefficients(rng, rng.randint(1, 4), big=k % 5 == 0))
+        if not common or not den:
+            continue
+        num, den = fraction_mul(num, common), fraction_mul(den, common)
+        f = RationalFunction(num, den)
+        assert (f.numerator, f.denominator) == reference_normal_form(num, den)
+        assert f.degree == max(poly_deg(f.numerator), poly_deg(f.denominator), 0)
+    with pytest.raises(PreconditionError, match="zero denominator"):
+        RationalFunction((1, 2), (0,))
+
+
+def test_certify_matches_the_fraction_reference():
+    # jets of a random function by plain Fraction expansion, at 1-3 points
+    # (infinity or a point with a 10**21 denominator among them in turn);
+    # complete jets give back its reference normal form, and jets whose
+    # last coefficient (past the 2*cap + 2 conditions read) is off by one
+    # give not_found
+    rng = random.Random(20292)
+    pool = [F(0), F(1), F(-2), F(3, 2), F(5, BIG), INFINITY]
+    found = 0
+    for k in range(100):
+        num = random_coefficients(rng, rng.randint(1, 4), big=k % 2 == 0)
+        den = random_coefficients(rng, rng.randint(1, 4), big=k % 3 == 0)
+        if not any(den):
+            continue
+        want = reference_normal_form(num, den)
+        coords = []
+        for c in rng.sample(pool, len(pool)):
+            try:
+                reference_jet(*want, MarkedPoint(0, c), 0)
+            except PreconditionError:
+                continue
+            coords.append(c)
+        points = [MarkedPoint(i, c) for i, c in enumerate(coords[: rng.randint(1, 3)])]
+        degree = max(len(want[0]), len(want[1])) - 1
+        perturb = k % 2 == 1
+        total = 2 * degree + 2 + rng.randint(0, 3) + perturb
+        total += perturb and total % 2 == 0  # odd: the last condition is not read
+        orders = [len(range(i, total, len(points))) - 1 for i in range(len(points))]
+        coeffs = [list(reference_jet(*want, pt, m)) for pt, m in zip(points, orders)]
+        if perturb:
+            coeffs[-1][-1] += 1
+        jets = [LocalSeries(pt.id, tuple(cs)) for pt, cs in zip(points, coeffs)]
+        rep = certify_rationality(jets, points)
+        if perturb:
+            assert rep.status == "not_found"
+            continue
+        assert rep.status == "rational"
+        assert (rep.function.numerator, rep.function.denominator) == want
+        assert all(reference_jet(*want, pt, j.order) == j.coefficients
+                   for pt, j in zip(points, jets))
+        found += 1
+    assert found > 30
+
+
+def test_an_unreduced_candidate_is_reduced_before_verification(monkeypatch):
+    # the Euclid's r/t times (z - 1)/(z - 1): unreduced, it has a pole at the
+    # marked point 1; reduced first, it matches every jet
+    real_euclid = capgame.oracle.ipoly_euclid
+
+    def with_factor(a, b):
+        for r, t in real_euclid(a, b):
+            yield mul_z_minus_1(r), mul_z_minus_1(t)
+
+    monkeypatch.setattr(capgame.oracle, "ipoly_euclid", with_factor)
+    f = RationalFunction((2, F(1, 3)), (1, F(-1, BIG)))
+    points = [MarkedPoint(0, F(0)), MarkedPoint(1, F(1))]
+    jets = [f.jet(pt, 3) for pt in points]
+    unreduced = mul_z_minus_1(f.numerator), mul_z_minus_1(f.denominator)
+    with pytest.raises(PreconditionError, match="pole"):
+        expand_rational_at_point(*unreduced, points[1], 0)
+    rep = certify_rationality(jets, points)
+    assert rep.status == "rational" and rep.function == f
+
+
+def mul_z_minus_1(p):
+    """p(z) * (z - 1) on a coefficient list."""
+    p = list(p)
+    return [a - b for a, b in zip([0] + p, p + [0])] if p else []
